@@ -19,7 +19,7 @@ from .errors import ClosureExceeded, NoConvergence, NotStronglyConnected, \
 from .kgraph import Edge, KGraph, validate_kgraph
 from .models import build_katsura, build_odometer, check_degenerate_property
 from .periodicity import periodicity_group
-from .perron import spectral_data
+from .perron import check_g_invariance, spectral_data
 
 MODEL_SCHEMA = "ssgraph/1"
 REPORT_SCHEMA = "ssgraph/report/1"
@@ -254,9 +254,9 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
         hypotheses["pseudoFree"] = pf.ok
         hypotheses["locallyFaithful"] = lf.ok
         if not pf.ok:
-            hypotheses["pseudoFreeWitness"] = pf.detail
+            hypotheses["pseudoFreeWitness"] = _witness_text(pf)
         if not lf.ok:
-            hypotheses["locallyFaithfulWitness"] = lf.detail
+            hypotheses["locallyFaithfulWitness"] = _witness_text(lf)
         degenerate = check_degenerate_property(system)
         hypotheses["degenerate"] = degenerate
     except ClosureExceeded as err:
@@ -280,7 +280,9 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
     report["perron"] = perron
 
     periodicity: dict = {}
+    kms_section: dict = {}
     if data is not None:
+        lattice = None
         try:
             lattice = periodicity_group(system, box_radius, ball_radius,
                                         perron_data=data, tol=tol)
@@ -293,24 +295,38 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
         except ClosureExceeded as err:
             periodicity = {"error": str(err)}
             capped = True
-    report["periodicity"] = periodicity
-
-    kms_section: dict = {}
-    if data is not None:
         try:
-            summary = kms.simplex_summary(system, box_radius, ball_radius,
-                                          tol)
-            kms_section = {
-                "exists": summary.exists,
-                "rank": summary.rank,
-                "verdict": summary.verdict,
-            }
+            if lattice is None and check_g_invariance(data, system, tol):
+                # a nonempty simplex needs the lattice that hit the cap
+                kms_section = {"error": periodicity["error"]}
+            else:
+                summary = kms.simplex_summary(
+                    system, box_radius, ball_radius, tol, data=data,
+                    lattice=lattice)
+                kms_section = {
+                    "exists": summary.exists,
+                    "rank": summary.rank,
+                    "verdict": summary.verdict,
+                }
         except ClosureExceeded as err:
             kms_section = {"error": str(err)}
             capped = True
+    report["periodicity"] = periodicity
     report["kms"] = kms_section
     report["capped"] = capped
     return report
+
+
+def _witness_text(verdict) -> str:
+    """The verdict's own detail, or its witness element with the path
+    (edges as 1-based ``[color, id]``, as in model files) or vertex."""
+    if verdict.detail:
+        return verdict.detail
+    if verdict.witness_path is not None:
+        edges = [[e.color + 1, e.id] for e in verdict.witness_path]
+        return f"element {verdict.witness_element} on path {json.dumps(edges)}"
+    return (f"element {verdict.witness_element} at vertex "
+            f"{verdict.witness_vertex}")
 
 
 # -- command line --------------------------------------------------------
@@ -463,7 +479,9 @@ def _dispatch(args) -> int:
 
     if args.verb == "kms-eval":
         graph, system = _load_validated(args.model)
-        summary = kms.simplex_summary(system, args.box, args.ball, args.tol)
+        data = spectral_data(graph)
+        summary = kms.simplex_summary(system, args.box, args.ball, args.tol,
+                                      data=data)
         doc = {
             "exists": summary.exists,
             "rank": summary.rank,
@@ -472,8 +490,8 @@ def _dispatch(args) -> int:
         }
         if summary.exists:
             state = kms.make_kms_state(
-                system, trace=_parse_trace(args.trace),
-                box_radius=args.box, ball_radius=args.ball, tol=args.tol)
+                system, trace=_parse_trace(args.trace), data=data,
+                lattice=summary.lattice, tol=args.tol)
             verify = kms.verify_kms(state, sample_count=args.samples,
                                     tol=args.tol)
             doc["verify"] = {

@@ -106,6 +106,7 @@ class KGraph:
         for row in self.edges:
             for e in row:
                 self._edges_from[e.color][e.range_vertex].append(e)
+        self._lambda_min_memo: dict[tuple[Path, Path], tuple] = {}
 
     # -- basic access ---------------------------------------------------
 
@@ -181,6 +182,28 @@ class KGraph:
         return Path(mu.range_vertex, tuple(seq),
                     add_degrees(mu.degree, nu.degree))
 
+    def shift_edge(self, alpha: Path, f: Edge) -> tuple[Edge, Path]:
+        """Factor ``alpha . f = e . tail`` with ``e`` of f's color and
+        ``d(tail) = d(alpha)``; the same factors as ``split_front`` of
+        ``compose(alpha, path([f]))`` at f's unit degree."""
+        if alpha.source != f.range_vertex:
+            raise NonComposable(
+                f"source {alpha.source} does not match range {f.range_vertex}")
+        color = f.color
+        seq = [*alpha.edges, f]
+        t = len(seq) - 1
+        # f sinks below the higher colors: the canonical form of alpha.f
+        while t > 0 and seq[t - 1].color > color:
+            seq[t - 1], seq[t] = self._swap_to_asc(seq[t - 1], seq[t])
+            t -= 1
+        # the first color-f edge follows the lower colors; lift it past them
+        t = sum(alpha.degree[:color])
+        while t > 0:
+            seq[t - 1], seq[t] = self._swap_to_desc(seq[t - 1], seq[t])
+            t -= 1
+        e = seq[0]
+        return e, Path(e.source, tuple(seq[1:]), alpha.degree)
+
     def split_front(self, mu: Path, p: Degree) -> tuple[Path, Path]:
         """Factor ``mu = beta . alpha`` with ``d(beta) = p``."""
         if not leq_degrees(zero_degree(self.k), p) or not leq_degrees(p, mu.degree):
@@ -242,18 +265,27 @@ class KGraph:
 
     def lambda_min(self, mu: Path, nu: Path):
         """Minimal common extensions ``[(alpha, beta)]`` with
-        ``mu.alpha == nu.beta`` of degree ``d(mu) v d(nu)``."""
-        if mu.range_vertex != nu.range_vertex:
-            return []
-        top = join_degrees(mu.degree, nu.degree)
-        out = []
-        for alpha in self.paths_of_degree(sub_degrees(top, mu.degree),
-                                          from_vertex=mu.source):
-            joined = self.compose(mu, alpha)
-            head, beta = self.split_front(joined, nu.degree)
-            if head == nu:
-                out.append((alpha, beta))
-        return out
+        ``mu.alpha == nu.beta`` of degree ``d(mu) v d(nu)``.
+
+        The set is a pure function of (mu, nu), so it is memoised on the
+        graph; each call returns a fresh list.  The memo holds one entry
+        per distinct pair passed in, e.g. at most the square of the
+        number of paths of degree <= (2,...,2) under ``verify_kms``.
+        """
+        key = (mu, nu)
+        hit = self._lambda_min_memo.get(key)
+        if hit is None:
+            out = []
+            if mu.range_vertex == nu.range_vertex:
+                top = join_degrees(mu.degree, nu.degree)
+                for alpha in self.paths_of_degree(
+                        sub_degrees(top, mu.degree), from_vertex=mu.source):
+                    joined = self.compose(mu, alpha)
+                    head, beta = self.split_front(joined, nu.degree)
+                    if head == nu:
+                        out.append((alpha, beta))
+            hit = self._lambda_min_memo[key] = tuple(out)
+        return list(hit)
 
     # -- graph-level data ----------------------------------------------
 

@@ -240,23 +240,30 @@ class SimplexSummary:
     box_radius: int
     ball_radius: int
     basis: tuple | None
+    lattice: PeriodicityLattice | None = None
 
 
 def simplex_summary(system, box_radius: int = 4, ball_radius: int = 3,
-                    tol: float = 1e-9) -> SimplexSummary:
+                    tol: float = 1e-9, data: PerronData | None = None,
+                    lattice: PeriodicityLattice | None = None
+                    ) -> SimplexSummary:
     """Classify the equilibrium-state simplex: empty when the
     invariance assumption fails, unique at lattice rank 0, otherwise
-    the measures on a torus of the lattice rank."""
-    data = spectral_data(system.graph)
+    the measures on a torus of the lattice rank.  ``data`` and
+    ``lattice`` are computed here unless passed in; the lattice only
+    when the simplex is nonempty."""
+    if data is None:
+        data = spectral_data(system.graph)
     if not check_g_invariance(data, system, tol):
         return SimplexSummary(False, None, "empty", box_radius, ball_radius,
                               None)
-    lattice = periodicity_group(system, box_radius, ball_radius,
-                                perron_data=data, tol=tol)
+    if lattice is None:
+        lattice = periodicity_group(system, box_radius, ball_radius,
+                                    perron_data=data, tol=tol)
     if lattice.rank == 0:
         verdict = "unique KMS state"
     else:
         verdict = (f"simplex of tracial states of C*(Z^{lattice.rank}): "
                    f"probability measures on the {lattice.rank}-torus")
     return SimplexSummary(True, lattice.rank, verdict, box_radius,
-                          ball_radius, lattice.basis)
+                          ball_radius, lattice.basis, lattice)

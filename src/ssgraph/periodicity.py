@@ -3,10 +3,12 @@
 A triple (mu, g, nu) is cycline when mu.(g.x) = nu.x for every
 infinite path x out of s(nu).  The decision procedure runs a greatest
 fixpoint over comparison states (alpha, h, beta) whose degrees have
-disjoint support: a state survives when for every edge e out of
-s(beta) the two one-edge extensions agree on their minimal common
-prefix and the shifted successor state survives.  The triple is
-cycline exactly when its reduced state survives, and the forward
+disjoint support.  Each step is a one-edge shift: for an edge e out
+of s(beta), ``KGraph.shift_edge`` refactors alpha.(h.e) and beta.e as
+a front edge of e's color followed by a tail of the old degree.  A
+state survives when, for every such e, the two front edges agree and
+the successor state (left tail, h|e, right tail) survives.  The triple
+is cycline exactly when its reduced state survives, and the forward
 reachable set doubles as a certificate.
 
 The periodicity group is collected over an integer search box with a
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from .errors import (BoxClosureViolation, ClosureExceeded,
                      PreconditionViolated)
 from .intlattice import hnf_basis
-from .kgraph import Path, join_degrees, meet_degrees, unit_degree
+from .kgraph import Path, join_degrees, meet_degrees
 from .perron import PerronData, rho_power_is_one, spectral_data
 
 DEFAULT_STATE_CAP = 250_000
@@ -80,14 +82,10 @@ def _cycline_fixpoint(system, mu, g, nu, state_cap):
     while queue:
         state = queue.popleft()
         for color in range(graph.k):
-            step = unit_degree(graph.k, color)
             for e in graph.edges_from(state.beta.source, color):
-                e_path = graph.path([e])
-                left = graph.compose(state.alpha,
-                                     system.act_path(state.h, e_path))
-                right = graph.compose(state.beta, e_path)
-                left_head, left_tail = graph.split_front(left, step)
-                right_head, right_tail = graph.split_front(right, step)
+                left_head, left_tail = graph.shift_edge(
+                    state.alpha, system.act_edge(state.h, e))
+                right_head, right_tail = graph.shift_edge(state.beta, e)
                 if left_head != right_head:
                     return CyclineCertificate(False, start, (),
                                               (state, e))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ssgraph.action import ActionSystem, GeneratorTable
+from ssgraph.action import ActionCaps, ActionSystem, GeneratorTable
 from ssgraph.cli import EXIT_CAPPED, EXIT_INVALID, EXIT_OK, MODEL_SCHEMA, \
     REPORT_SCHEMA, canonical_bytes, emit_model, main, parse_model, \
     run_analysis
@@ -281,6 +281,71 @@ def test_run_analysis_accepts_in_memory_systems(odo23):
     report = run_analysis(odo23.graph, odo23)
     assert report["validation"]["valid"]
     assert report["periodicity"]["rank"] == 0
+
+
+def test_analyze_reports_hypothesis_witnesses(partial_fix_system,
+                                             locally_blind_system):
+    # s fixes loop 0 and restricts to 1 there
+    hyp = run_analysis(partial_fix_system.graph,
+                       partial_fix_system)["hypotheses"]
+    assert not hyp["pseudoFree"]
+    assert hyp["pseudoFreeWitness"] == "element s on path [[1, 0]]"
+    # s fixes every path out of v0 without being the identity
+    hyp = run_analysis(locally_blind_system.graph,
+                       locally_blind_system)["hypotheses"]
+    assert not hyp["locallyFaithful"]
+    assert hyp["locallyFaithfulWitness"] == "element s at vertex 0"
+
+
+def test_analyze_keeps_detail_of_trivial_generator(trivial_extension_system):
+    hyp = run_analysis(trivial_extension_system.graph,
+                       trivial_extension_system)["hypotheses"]
+    assert hyp["pseudoFreeWitness"] == "generator 'e' acts as the identity"
+
+
+def _count_stage_calls(monkeypatch):
+    """Wrap the lattice and spectral stages at every binding the
+    pipeline reaches them through; returns the live call counts."""
+    import ssgraph.cli
+    import ssgraph.kms
+    import ssgraph.periodicity
+    calls = {"periodicity_group": 0, "spectral_data": 0}
+    for name in calls:
+        original = getattr(ssgraph.periodicity, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (ssgraph.cli, ssgraph.kms, ssgraph.periodicity):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_stage_runs_once_per_verb(tmp_path, monkeypatch):
+    model = gen_file(tmp_path, "odo22.json", "gen", "odometer", "--n", "2,2")
+    calls = _count_stage_calls(monkeypatch)
+    assert main(["analyze", str(model), "--json",
+                 str(tmp_path / "a.json")]) == EXIT_OK
+    assert calls == {"periodicity_group": 1, "spectral_data": 1}
+    calls.update(periodicity_group=0, spectral_data=0)
+    assert main(["kms-eval", str(model), "--samples", "2", "--json",
+                 str(tmp_path / "k.json")]) == EXIT_OK
+    assert calls == {"periodicity_group": 1, "spectral_data": 1}
+
+
+def test_capped_lattice_error_is_reused_by_kms(
+        word_odometer22, monkeypatch):
+    # the closure {0, +1} fits under the cap, the radius-3 ball does not
+    capped = ActionSystem(word_odometer22.graph, word_odometer22.generators,
+                          caps=ActionCaps(max_closure=3))
+    calls = _count_stage_calls(monkeypatch)
+    report = run_analysis(capped.graph, capped)
+    assert report["capped"]
+    assert "cap 3" in report["periodicity"]["error"]
+    assert report["kms"] == {"error": report["periodicity"]["error"]}
+    assert calls["periodicity_group"] == 1
 
 
 # -- per and kms-eval ----------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from ssgraph.errors import BadRange, NonComposable
 from ssgraph.kgraph import Edge, KGraph, add_degrees, join_degrees, \
-    leq_degrees, meet_degrees, sub_degrees, validate_kgraph
-from ssgraph.models import build_odometer
+    leq_degrees, meet_degrees, sub_degrees, unit_degree, validate_kgraph
+from ssgraph.models import build_katsura, build_odometer
 
 
 def test_degree_helpers():
@@ -89,6 +90,47 @@ def test_factorization_is_consistent(odo23):
         assert g.compose(head, tail) == mu
 
 
+def _paths_up_to(g, bound):
+    return [mu for d in itertools.product(*(range(b + 1) for b in bound))
+            for mu in g.paths_of_degree(d)]
+
+
+def _assert_shift_matches_split(g, bound):
+    checked = 0
+    for alpha in _paths_up_to(g, bound):
+        for color in range(g.k):
+            for f in g.edges_from(alpha.source, color):
+                e, tail = g.shift_edge(alpha, f)
+                head, rest = g.split_front(g.compose(alpha, g.path([f])),
+                                           unit_degree(g.k, color))
+                assert (g.path([e]), tail) == (head, rest)
+                checked += 1
+    return checked
+
+
+def test_shift_edge_matches_compose_then_split(odo623):
+    g = odo623.graph
+    # 1 + 6 + 2 + 3 + 12 + 18 + 6 + 36 paths, each with 6 + 2 + 3 edges
+    assert _assert_shift_matches_split(g, (1, 1, 1)) == 84 * 11
+
+
+def test_shift_edge_matches_on_multi_vertex_graphs(fibonacci_graph):
+    katsura = build_katsura([[2, 1], [1, 2]], [[1, 1], [1, 1]]).graph
+    for g in (fibonacci_graph, katsura):
+        assert g.num_vertices == 2
+        assert _assert_shift_matches_split(g, (3,)) > 0
+
+
+def test_shift_edge_rejects_non_composable_edge(fibonacci_graph):
+    g = fibonacci_graph
+    loop = g.path([g.edge(0, 0)])          # source v0
+    at_v1 = g.edge(0, 2)                   # range v1
+    with pytest.raises(NonComposable):
+        g.shift_edge(loop, at_v1)
+    with pytest.raises(NonComposable):
+        g.shift_edge(g.vertex_path(0), at_v1)
+
+
 def test_lambda_min_covers_extensions(odo22):
     g = odo22.graph
     mu = g.paths_of_degree((1, 0))[0]
@@ -111,6 +153,18 @@ def test_lambda_min_empty_on_disconnected_ranges(fibonacci_graph):
     at_v0 = g.path([g.edge(0, 0)])
     at_v1 = g.path([g.edge(0, 2)])
     assert g.lambda_min(at_v0, at_v1) == []
+
+
+def test_lambda_min_returns_a_fresh_list(odo22):
+    g = odo22.graph
+    mu = g.paths_of_degree((1, 0))[0]
+    nu = g.paths_of_degree((0, 1))[0]
+    first = g.lambda_min(mu, nu)
+    expected = list(first)
+    assert expected
+    first.clear()
+    first.append("junk")
+    assert g.lambda_min(mu, nu) == expected
 
 
 def test_vertex_matrix_counts_match_paths(odo24, fibonacci_graph):
