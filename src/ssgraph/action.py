@@ -2,16 +2,18 @@
 
 A group is presented by generator tables: each generator permutes the
 vertices and the edges of every color and leaves behind a restriction
-word per edge.  Group elements are registry states; a new word is
-canonicalized against the registry by bisimulation, so element equality
-is equality of the action on all paths.  Caps turn a failing
-finite-state hypothesis into an explicit ClosureExceeded error instead
-of divergence.
+word per edge.  A word's canonical form is the signature of the
+minimal automaton of its restriction closure, found by Moore partition
+refinement; the first word seen with a signature represents it.  Every
+GroupElement a system hands out carries such a representative, so
+element equality is key equality.  Caps turn a failing finite-state
+hypothesis into an explicit ClosureExceeded error instead of
+divergence.
 
-Soundness of bisimulation equality relies on local faithfulness: an
-element fixing every path out of one vertex is the identity, hence
-elements acting identically on all edges with bisimilar restrictions
-are equal in the group.
+Two words share a signature exactly when they act identically on every
+path, so elements are equal as automorphisms of the path space: the
+engine works in the faithful quotient of the group the tables present,
+which is the group itself when that group acts faithfully.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ ColorEdge = tuple[int, int]
 
 @dataclass(frozen=True, slots=True)
 class GroupElement:
-    """Canonical handle for a group element; compare only within one system."""
+    """Canonical element handle made by a system; compare only within it."""
 
     key: Hashable
 
@@ -51,6 +53,10 @@ class GeneratorTable:
 
 @dataclass(frozen=True)
 class ActionCaps:
+    """Caps that raise ClosureExceeded: ``max_closure`` on closures and
+    word balls, ``max_word_length`` on restriction words, and
+    ``max_pair_states`` on the words walked to canonicalise one word."""
+
     max_closure: int = 4096
     max_word_length: int = 64
     max_pair_states: int = 4096
@@ -82,10 +88,12 @@ class ActionSystem:
             self._inv_vertex.append(tuple(inv_v))
         self._act_memo: dict[tuple[Hashable, ColorEdge], int] = {}
         self._res_memo: dict[tuple[Hashable, ColorEdge], Hashable] = {}
-        self._eq_memo: dict[tuple[Hashable, Hashable], bool] = {}
+        self._color_edges = tuple((color, e.id) for color in range(graph.k)
+                                  for e in graph.edges[color])
         self._canon_memo: dict[Hashable, Hashable] = {}
-        self._registry: list[Hashable] = [self._identity_key()]
-        self._canon_memo[self._identity_key()] = self._identity_key()
+        self._by_signature: dict[tuple, Hashable] = {}
+        # canonicalised first, the identity represents its own class
+        self._canonical_key(self._identity_key())
         self.cycline_memo: dict = {}
 
     # -- raw key operations (word engine; overridden by exact engines) --
@@ -170,68 +178,50 @@ class ActionSystem:
             parts.append(name if letter > 0 else name + "^-1")
         return "*".join(parts)
 
-    # -- bisimulation and the canonical registry -----------------------
-
-    def _all_color_edges(self):
-        for color in range(self.graph.k):
-            for e in self.graph.edges[color]:
-                yield (color, e.id)
-
-    def _bisimilar(self, a: Hashable, b: Hashable) -> bool:
-        """Decide whether two raw keys act identically on every path."""
-        if a == b:
-            return True
-        memo_key = (a, b)
-        hit = self._eq_memo.get(memo_key)
-        if hit is not None:
-            return hit
-        seen: set[tuple[Hashable, Hashable]] = set()
-        queue = deque([(a, b)])
-        verdict = True
-        while queue:
-            pa, pb = queue.popleft()
-            if pa == pb or (pa, pb) in seen:
-                continue
-            seen.add((pa, pb))
-            if len(seen) > self.caps.max_pair_states:
-                raise ClosureExceeded(
-                    f"bisimulation needs more than "
-                    f"{self.caps.max_pair_states} state pairs")
-            if any(self._act_vertex_raw(pa, v) != self._act_vertex_raw(pb, v)
-                   for v in range(self.graph.num_vertices)):
-                verdict = False
-                break
-            mismatch = False
-            for ce in self._all_color_edges():
-                if self._act_edge_raw(pa, ce) != self._act_edge_raw(pb, ce):
-                    mismatch = True
-                    break
-                queue.append((self._restrict_edge_raw(pa, ce),
-                              self._restrict_edge_raw(pb, ce)))
-            if mismatch:
-                verdict = False
-                break
-        if verdict:
-            for pair in seen:
-                self._eq_memo[pair] = True
-                self._eq_memo[(pair[1], pair[0])] = True
-        else:
-            self._eq_memo[memo_key] = False
-            self._eq_memo[(b, a)] = False
-        return verdict
+    # -- canonical forms by partition refinement ------------------------
 
     def _canonical_key(self, key: Hashable) -> Hashable:
         key = self._reduce(key)
         hit = self._canon_memo.get(key)
-        if hit is not None:
-            return hit
-        for state in self._registry:
-            if self._bisimilar(key, state):
-                self._canon_memo[key] = state
-                return state
-        self._registry.append(key)
-        self._canon_memo[key] = key
-        return key
+        if hit is None:
+            hit = self._by_signature.setdefault(self._signature(key), key)
+            self._canon_memo[key] = hit
+        return hit
+
+    def _signature(self, word: Word) -> tuple:
+        """The minimal automaton of ``word``'s restriction closure, each
+        state labelled by its vertex and edge permutations.  Moore
+        refinement splits states by label and successor classes; classes
+        are numbered by first appearance in the breadth-first walk, so
+        words share a signature exactly when they act alike on all paths.
+        """
+        states, index, labels, succ = [word], {word: 0}, [], []
+        for w in states:  # breadth-first: ``states`` grows while walked
+            labels.append((
+                tuple(self._act_vertex_raw(w, v)
+                      for v in range(self.graph.num_vertices)),
+                tuple(self._act_edge_raw(w, ce) for ce in self._color_edges)))
+            row = []
+            for ce in self._color_edges:
+                res = self._restrict_edge_raw(w, ce)
+                if res not in index:
+                    if len(states) >= self.caps.max_pair_states:
+                        raise ClosureExceeded(
+                            f"restriction closure of {self.key_str(word)} "
+                            f"exceeds cap max_pair_states="
+                            f"{self.caps.max_pair_states} (reached "
+                            f"{len(states) + 1} states)")
+                    index[res] = len(states)
+                    states.append(res)
+                row.append(index[res])
+            succ.append(row)
+        block = _number(labels)
+        while True:
+            moves = [tuple(block[j] for j in row) for row in succ]
+            finer = _number(zip(block, moves))
+            if finer == block:
+                return tuple(dict.fromkeys(zip(labels, moves)))
+            block = finer
 
     # -- public element interface --------------------------------------
 
@@ -253,7 +243,7 @@ class ActionSystem:
         return GroupElement(self._canonical_key(tuple(letters)))
 
     def equal(self, g: GroupElement, h: GroupElement) -> bool:
-        return self._canonical_key(g.key) == self._canonical_key(h.key)
+        return g.key == h.key
 
     def is_identity(self, g: GroupElement) -> bool:
         return self.equal(g, self.identity)
@@ -291,7 +281,7 @@ class ActionSystem:
         return GroupElement(self._canonical_key(key))
 
     def describe(self, g: GroupElement) -> str:
-        return self.key_str(self._canonical_key(g.key))
+        return self.key_str(g.key)
 
     # -- closures -------------------------------------------------------
 
@@ -301,27 +291,20 @@ class ActionSystem:
         cap = cap or self.caps.max_closure
         keys: list[Hashable] = []
         seen: set[Hashable] = set()
-        queue = deque()
-        for g in seeds:
-            key = self._canonical_key(g.key)
+
+        def visit(key):
             if key not in seen:
                 if len(seen) >= cap:
                     raise ClosureExceeded(
                         f"restriction closure exceeds cap {cap}")
                 seen.add(key)
                 keys.append(key)
-                queue.append(key)
-        while queue:
-            key = queue.popleft()
-            for ce in self._all_color_edges():
-                res = self._canonical_key(self._restrict_edge_raw(key, ce))
-                if res not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureExceeded(
-                            f"restriction closure exceeds cap {cap}")
-                    seen.add(res)
-                    keys.append(res)
-                    queue.append(res)
+
+        for g in seeds:
+            visit(g.key)
+        for key in keys:  # breadth-first: ``keys`` grows while walked
+            for ce in self._color_edges:
+                visit(self._canonical_key(self._restrict_edge_raw(key, ce)))
         return [GroupElement(key) for key in keys]
 
     def word_ball(self, radius: int) -> list[GroupElement]:
@@ -348,13 +331,21 @@ class ActionSystem:
         return out
 
 
+def _number(keys) -> list[int]:
+    """Number the distinct keys in order of first appearance."""
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
 class ExactZSystem(ActionSystem):
     """Action of the integers with closed-form edge arithmetic.
 
     Subclasses supply ``_z_act`` and ``_z_restrict``; integers are the
-    canonical keys, so equality is integer equality.  The generic
-    bisimulation machinery still works through the same hooks, which
-    lets tests confirm that both notions of equality agree.
+    canonical keys, so equality is integer equality and no signature is
+    computed.  The word engine on the same generator tables,
+    ``ActionSystem(system.graph, system.generators)``, canonicalises by
+    signature instead, which lets tests confirm that both notions of
+    equality agree.
     """
 
     def _identity_key(self) -> Hashable:
@@ -441,10 +432,10 @@ def check_pseudo_free(sys: ActionSystem,
         return HypothesisVerdict(
             False, trivial, (e,),
             detail=f"generator {trivial!r} acts as the identity")
-    id_key = sys._canonical_key(sys.identity.key)
+    id_key = sys.identity.key
     graph = sys.graph
     for g in states:
-        g_key = sys._canonical_key(g.key)
+        g_key = g.key
         if g_key == id_key:
             continue
         # nodes (element, vertex) so witness edges concatenate to a path
@@ -481,21 +472,21 @@ def check_pseudo_free(sys: ActionSystem,
 def check_locally_faithful(sys: ActionSystem,
                            states: Sequence[GroupElement]) -> HypothesisVerdict:
     """Greatest-fixpoint search for a non-identity state fixing every
-    path out of some vertex.  ``states`` must be restriction-closed."""
+    path out of some vertex.  ``states`` must be restriction-closed.
+
+    Elements are compared as the engine compares them, as automorphisms
+    of the path space, so "non-identity" means acting nontrivially on
+    some path: the check runs in the same faithful quotient as the rest
+    of the engine.
+    """
     trivial = _trivial_generator(sys)
     if trivial is not None:
         return HypothesisVerdict(
             False, trivial, witness_vertex=0,
             detail=f"generator {trivial!r} acts as the identity")
-    id_key = sys._canonical_key(sys.identity.key)
+    id_key = sys.identity.key
     graph = sys.graph
-    keys = []
-    seen = set()
-    for g in states:
-        key = sys._canonical_key(g.key)
-        if key not in seen:
-            seen.add(key)
-            keys.append(key)
+    keys = list(dict.fromkeys(g.key for g in states))
     alive = {(key, v) for key in keys for v in range(graph.num_vertices)}
     changed = True
     while changed:

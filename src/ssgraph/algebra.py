@@ -92,12 +92,11 @@ class AlgebraElement:
         return multiply(self, other)
 
 
-def _canonical_monomial(system, mu: Path, g, nu: Path) -> Monomial:
+def _checked_monomial(system, mu: Path, g, nu: Path) -> Monomial:
     if system.act_vertex(g, nu.source) != mu.source:
         raise PreconditionViolated(
             "source of mu must be the g-image of the source of nu")
-    from .action import GroupElement
-    return Monomial(mu, GroupElement(system._canonical_key(g.key)), nu)
+    return Monomial(mu, g, nu)
 
 
 def _as_coeff(value, exact: bool):
@@ -114,7 +113,7 @@ def element(system, triples, exact: bool = False) -> AlgebraElement:
     """Build an element from ``(mu, g, nu, coefficient)`` entries."""
     terms: dict = {}
     for mu, g, nu, coeff in triples:
-        key = _canonical_monomial(system, mu, g, nu)
+        key = _checked_monomial(system, mu, g, nu)
         value = terms.get(key)
         coeff = _as_coeff(coeff, exact)
         terms[key] = coeff if value is None else value + coeff
@@ -213,7 +212,7 @@ def _monomial_product(system, left: Monomial, right: Monomial):
         mid = system.multiply(system.restrict_path(g, lam),
                               system.restrict_path(h, pulled))
         nu = graph.compose(right.nu, pulled)
-        out.append(_canonical_monomial(system, mu, mid, nu))
+        out.append(_checked_monomial(system, mu, mid, nu))
     return out
 
 
@@ -221,7 +220,7 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     system = a.system
     terms: dict = {}
     for key, val in a.terms.items():
-        flipped = _canonical_monomial(system, key.nu,
+        flipped = _checked_monomial(system, key.nu,
                                       system.inverse(key.g), key.mu)
         conj = val.conjugate()
         hit = terms.get(flipped)

@@ -303,13 +303,13 @@ def check_degenerate_property(system, depth_cap: int = 8):
     help), or None when the search hit the depth cap undecided.
     """
     graph = system.graph
-    id_key = system._canonical_key(system.identity.key)
+    id_key = system.identity.key
     states = system.restriction_closure(
         [system.identity]
         + [system.generator_element(g.name) for g in system.generators])
     undecided = False
     for g in states:
-        g_key = system._canonical_key(g.key)
+        g_key = g.key
         if g_key == id_key:
             continue
         for v in range(graph.num_vertices):

@@ -54,7 +54,6 @@ def is_cycline(system, mu: Path, g, nu: Path,
     if system.act_vertex(g, nu.source) != mu.source:
         raise PreconditionViolated(
             "source of mu must be the g-image of the source of nu")
-    g = _canonical_element(system, g)
     memo_key = (mu, g.key, nu)
     hit = system.cycline_memo.get(memo_key)
     if hit is not None:
@@ -62,11 +61,6 @@ def is_cycline(system, mu: Path, g, nu: Path,
     cert = _cycline_fixpoint(system, mu, g, nu, state_cap)
     system.cycline_memo[memo_key] = cert
     return cert
-
-
-def _canonical_element(system, g):
-    from .action import GroupElement
-    return GroupElement(system._canonical_key(g.key))
 
 
 def _cycline_fixpoint(system, mu, g, nu, state_cap):

@@ -1,12 +1,20 @@
+import functools
 import random
+from collections import deque
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ssgraph.action import ActionSystem, check_locally_faithful, \
+from ssgraph.action import ActionCaps, ActionSystem, check_locally_faithful, \
     check_pseudo_free, validate_action
+from ssgraph.cli import parse_model
 from ssgraph.errors import ClosureExceeded, PreconditionViolated
 from ssgraph.kgraph import add_degrees
-from ssgraph.models import degree_weight, odometer_path, odometer_value
+from ssgraph.models import build_odometer, degree_weight, odometer_path, \
+    odometer_value
+
+MODELS = Path(__file__).resolve().parent.parent / "bench" / "models"
 
 
 def closure_of(system):
@@ -64,6 +72,94 @@ def test_doubling_word_is_not_identity_on_binary_machine():
     # identity-with-identity-restrictions state
     assert not system.is_identity(two)
     assert not system.equal(two, system.identity)
+
+
+def bisimilar(system, a, b):
+    """Reference equality: a breadth-first search over pairs of raw
+    words for a pair whose vertex or edge actions differ."""
+    graph = system.graph
+    edges = [(color, e.id) for color in range(graph.k)
+             for e in graph.edges[color]]
+    seen = set()
+    queue = deque([(a, b)])
+    while queue:
+        pair = queue.popleft()
+        pa, pb = pair
+        if pa == pb or pair in seen:
+            continue
+        seen.add(pair)
+        if any(system._act_vertex_raw(pa, v) != system._act_vertex_raw(pb, v)
+               for v in range(graph.num_vertices)):
+            return False
+        for ce in edges:
+            if system._act_edge_raw(pa, ce) != system._act_edge_raw(pb, ce):
+                return False
+            queue.append((system._restrict_edge_raw(pa, ce),
+                          system._restrict_edge_raw(pb, ce)))
+    return True
+
+
+def bench_model(name, caps=None):
+    _, system = parse_model((MODELS / f"{name}.json").read_text(),
+                            validate=False)
+    return ActionSystem(system.graph, system.generators, caps)
+
+
+@functools.cache
+def word_system(name):
+    """One shared word-engine system per table set, so memos carry
+    over between examples as they do within one analysis."""
+    if name == "odometer22":
+        exact = build_odometer((2, 2))
+        return ActionSystem(exact.graph, exact.generators)
+    return bench_model(name)
+
+
+@st.composite
+def word_pairs(draw):
+    name = draw(st.sampled_from(
+        ["adding_machine", "basilica", "grigorchuk", "odometer22"]))
+    size = len(word_system(name).generators)
+    letter = st.sampled_from([i for i in range(-size, size + 1) if i])
+    word = st.lists(letter, max_size=7).map(tuple)
+    return name, draw(word), draw(word)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(word_pairs())
+def test_signature_equality_matches_pairwise_bisimulation(case):
+    name, u, v = case
+    system = word_system(name)
+    g, h = system.element_from_word(u), system.element_from_word(v)
+    assert system.equal(g, h) == bisimilar(system, u, v)
+    # the representative acts as the word it stands for
+    assert bisimilar(system, g.key, u) and bisimilar(system, h.key, v)
+
+
+def test_grigorchuk_ball_sizes():
+    system = bench_model("grigorchuk")
+    sizes = [len(system.word_ball(r)) for r in range(9)]
+    assert sizes == [1, 5, 11, 23, 40, 68, 108, 176, 271]
+
+
+def test_identity_represents_its_class():
+    system = bench_model("grigorchuk")
+    # a^2 = b^2 = bcd = 1, none of them freely reducible to the empty word
+    for word in ((1, 1), (2, 2), (2, 3, 4)):
+        assert system.element_from_word(word).key == ()
+    assert system.element_from_word((1,)).key == (1,)
+
+
+def test_state_cap_names_cap_limit_and_reach():
+    system = bench_model("grigorchuk", ActionCaps(max_pair_states=2))
+    # a|_x is 1 for both edges; b's closure b, a, c is one state too many
+    system.generator_element("a")
+    with pytest.raises(ClosureExceeded) as err:
+        system.generator_element("b")
+    assert str(err.value) == ("restriction closure of b exceeds cap "
+                              "max_pair_states=2 (reached 3 states)")
+    with pytest.raises(ClosureExceeded):
+        closure_of(bench_model("grigorchuk", ActionCaps(max_pair_states=2)))
 
 
 def test_group_laws(odo23):

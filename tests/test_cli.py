@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ssgraph
 from ssgraph.action import ActionCaps, ActionSystem, GeneratorTable
 from ssgraph.cli import EXIT_CAPPED, EXIT_INVALID, EXIT_OK, MODEL_SCHEMA, \
     REPORT_SCHEMA, canonical_bytes, emit_model, main, parse_model, \
@@ -348,6 +353,17 @@ def test_capped_lattice_error_is_reused_by_kms(
     assert calls["periodicity_group"] == 1
 
 
+def test_state_cap_error_is_embedded_in_report(word_odometer22):
+    # canonicalising +1 walks +1 and the identity: two states, cap one
+    capped = ActionSystem(word_odometer22.graph, word_odometer22.generators,
+                          caps=ActionCaps(max_pair_states=1))
+    report = run_analysis(capped.graph, capped)
+    assert report["capped"]
+    assert report["validation"]["error"] == (
+        "restriction closure of +1 exceeds cap max_pair_states=1 "
+        "(reached 2 states)")
+
+
 # -- per and kms-eval ----------------------------------------------------
 
 def test_per_reports_lattice(tmp_path, capsys):
@@ -403,3 +419,15 @@ def test_kms_eval_invalid_model_exit(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["kms-eval", str(path)]) == EXIT_INVALID
     assert "factorization" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ssgraph.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ssgraph", "gen", "odometer",
+         "--n", "2"], capture_output=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == b""
+    assert json.loads(proc.stdout)["schema"] == MODEL_SCHEMA
