@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 from .errors import ClosureExceeded, PreconditionViolated, ValidationReport
 from .kgraph import Edge, KGraph, Path, unit_degree
@@ -28,9 +28,12 @@ Word = tuple[int, ...]
 ColorEdge = tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
-    """Canonical element handle made by a system; compare only within it."""
+class GroupElement(NamedTuple):
+    """Canonical element handle made by a system; compare only within it.
+
+    A named tuple: ``GroupElement(k)`` equals the plain tuple ``(k,)``,
+    so handles must not share a dict with unrelated tuple keys.
+    """
 
     key: Hashable
 

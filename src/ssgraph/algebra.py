@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import IncompleteTriples, NotPeriodic, PreconditionViolated
 from .kgraph import Path, join_degrees, zero_degree
@@ -58,9 +59,11 @@ def exact_number(re, im=0) -> ExactComplex:
     return ExactComplex(Fraction(re), Fraction(im))
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """The formal product s_mu u_g s_nu*; requires s(mu) = g.s(nu)."""
+class Monomial(NamedTuple):
+    """The formal product s_mu u_g s_nu*; requires s(mu) = g.s(nu).
+
+    A named tuple, so monomial dicts hash in C; it equals any tuple
+    with the same three fields."""
 
     mu: Path
     g: "GroupElement"

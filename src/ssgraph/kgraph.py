@@ -5,11 +5,15 @@ factorization table per ordered color pair.  Paths are kept in canonical
 form: the edge sequence is sorted by color, ties kept in composition
 order, so equal morphisms compare equal as tuples.  Colors are 0-based
 throughout the package.
+
+``Edge`` and ``Path`` are named tuples, so hashing and equality run in
+C.  They therefore compare equal to plain tuples with the same fields:
+keep them out of dicts and sets that also hold unrelated tuple keys.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +44,10 @@ def leq_degrees(a: Degree, b: Degree) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    """A single edge; ``id`` is unique within its color class."""
+class Edge(NamedTuple):
+    """A single edge; ``id`` is unique within its color class.
+
+    A named tuple: equal to any tuple with the same four fields."""
 
     id: int
     color: int
@@ -50,13 +55,14 @@ class Edge:
     range_vertex: int
 
 
-@dataclass(frozen=True, slots=True)
-class Path:
+class Path(NamedTuple):
     """A morphism in canonical color-sorted form.
 
     ``edges`` is the edge sequence in composition order (range end
     first).  Degree-0 paths carry no edges and are identified with
-    their vertex.
+    their vertex.  A named tuple: equal to any tuple with the same
+    three fields, so it hashes in C but must not share a dict with
+    unrelated tuple keys.
     """
 
     range_vertex: int

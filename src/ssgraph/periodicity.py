@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (BoxClosureViolation, ClosureExceeded,
                      PreconditionViolated)
@@ -30,8 +31,10 @@ from .perron import PerronData, rho_power_is_one, spectral_data
 DEFAULT_STATE_CAP = 250_000
 
 
-@dataclass(frozen=True)
-class CyclineState:
+class CyclineState(NamedTuple):
+    """A comparison state of the fixpoint; a named tuple, so the
+    ``seen`` set hashes in C."""
+
     alpha: Path
     h: "GroupElement"
     beta: Path

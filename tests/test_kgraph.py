@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from ssgraph.algebra import Monomial
 from ssgraph.errors import BadRange, NonComposable
-from ssgraph.kgraph import Edge, KGraph, add_degrees, join_degrees, \
+from ssgraph.kgraph import Edge, KGraph, Path, add_degrees, join_degrees, \
     leq_degrees, meet_degrees, sub_degrees, unit_degree, validate_kgraph
 from ssgraph.models import build_katsura, build_odometer
+from ssgraph.periodicity import CyclineState
 
 
 def test_degree_helpers():
@@ -55,6 +57,39 @@ def test_compose_requires_matching_endpoint(fibonacci_graph):
     assert g.compose(up, loop).degree == (2,)
     with pytest.raises(NonComposable):
         g.compose(loop, up)
+
+
+def test_value_types_are_frozen_and_hash_by_value(odo22):
+    g = odo22.graph
+    e = g.edge(0, 1)
+    mu = g.path([e, g.edge(1, 0)])
+    h = odo22.element(1)
+    mono = Monomial(mu, odo22.identity, mu)
+    state = CyclineState(mu, h, mu)
+    for value, field in ((e, "id"), (mu, "edges"), (h, "key"),
+                         (mono, "g"), (state, "beta")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    twins = ((e, Edge(1, 0, 0, 0)),
+             (mu, Path(0, (Edge(1, 0, 0, 0), Edge(0, 1, 0, 0)), (1, 1))),
+             (h, odo22.element_from_word((1,))),
+             (mono, Monomial(g.path([e, g.edge(1, 0)]), odo22.identity, mu)),
+             (state, CyclineState(mu, odo22.element(1), mu)))
+    for a, b in twins:
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+
+
+def test_edge_repr_is_kept_in_error_texts(odo22, fibonacci_graph):
+    text = "Edge(id=1, color=0, source=0, range_vertex=0)"
+    assert repr(odo22.graph.edge(0, 1)) == text
+    assert str(odo22.graph.edge(0, 1)) == text
+    g = fibonacci_graph
+    with pytest.raises(NonComposable) as err:
+        g.path([g.edge(0, 0), g.edge(0, 2)])
+    assert str(err.value) == (
+        "edges Edge(id=0, color=0, source=0, range_vertex=0) and "
+        "Edge(id=2, color=0, source=0, range_vertex=1) do not compose")
 
 
 def test_split_and_segment_roundtrip(odo23):

@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -6,12 +8,13 @@ import pytest
 from ssgraph.algebra import add, adjoint, element, generator_unitary, \
     identity_element, monomial, multiply, periodicity_unitary, scale, \
     vertex_projection
+from ssgraph import kms
 from ssgraph.errors import NotInLattice, SimplexEmpty
-from ssgraph.kms import character_trace, evaluate, gauge_scale, haar_trace, \
-    make_kms_state, mixture_trace, restrict_to_diagonal, simplex_summary, \
-    trace_value, verify_kms
+from ssgraph.kms import KmsReport, character_trace, evaluate, gauge_scale, \
+    haar_trace, make_kms_state, mixture_trace, restrict_to_diagonal, \
+    simplex_summary, trace_value, verify_kms
 from ssgraph.models import odometer_path
-from ssgraph.periodicity import periodicity_group
+from ssgraph.periodicity import PeriodicityLattice, periodicity_group
 from ssgraph.perron import pf_state_value, spectral_data
 
 
@@ -183,6 +186,98 @@ def test_kms_identity_with_character(odo22):
     state = make_kms_state(odo22, trace=character_trace([0.3]))
     report = verify_kms(state, sample_count=40)
     assert report.ok
+
+
+def reference_monomials(system, bound):
+    """Every monomial (mu, g, nu) with degrees at most ``bound``, g in
+    the generators' restriction closure, in ``verify_kms``'s order."""
+    graph = system.graph
+    elements = system.restriction_closure(
+        [system.identity]
+        + [system.generator_element(g.name) for g in system.generators])
+    paths = [p for d in itertools.product(*(range(b + 1) for b in bound))
+             for p in graph.paths_of_degree(d)]
+    return [monomial(system, mu, g, nu)
+            for g in elements for nu in paths for mu in paths
+            if mu.source == system.act_vertex(g, nu.source)]
+
+
+def reference_check(state, pairs):
+    """(max deviation, checked, nonzero) of phi(xy) = phi(y scale(x))
+    over the pairs, through the public multiply/evaluate/gauge_scale."""
+    worst = 0.0
+    checked = nonzero = 0
+    for x, y in pairs:
+        lhs = evaluate(state, multiply(x, y))
+        rhs = evaluate(state, multiply(y, gauge_scale(state, x)))
+        worst = max(worst, abs(lhs - rhs))
+        checked += 1
+        nonzero += lhs != 0
+    return worst, checked, nonzero
+
+
+def reference_trace(kind, rank):
+    if kind == "haar":
+        return haar_trace()
+    if kind == "character":
+        return character_trace([0.3] * rank)
+    return mixture_trace([(0.25, [0.1] * rank), (0.75, [0.6] * rank)])
+
+
+# odo23 has a rank-0 lattice, on which every trace is Haar; its block
+# of 288**2 pairs is the slowest, so it runs once
+@pytest.mark.parametrize("name,kind", [
+    ("odo22", "haar"), ("odo22", "character"), ("odo22", "mixture"),
+    ("odo23", "haar"),
+    ("kat21", "haar"), ("kat21", "character"), ("kat21", "mixture")])
+def test_fused_check_matches_reference_loop(name, kind, request):
+    system = request.getfixturevalue(name)
+    k = system.graph.k
+    small = reference_monomials(system, (1,) * k)
+    big = reference_monomials(system, (2,) * k)
+    tol = 1e-9
+    rank = make_kms_state(system).lattice.rank
+    state = make_kms_state(system, trace=reference_trace(kind, rank))
+    # the (1,...,1) block does not depend on the seed
+    block = reference_check(state, itertools.product(small, small))
+    for seed, samples in ((5, 30), (2024, 45)):
+        rng = random.Random(seed)
+        sampled = reference_check(
+            state, [(rng.choice(big), rng.choice(big))
+                    for _ in range(samples)])
+        worst = max(block[0], sampled[0])
+        expected = KmsReport(worst < tol, worst, block[1] + sampled[1],
+                             tol, block[2] + sampled[2])
+        got = verify_kms(state, sample_count=samples, tol=tol, seed=seed)
+        assert got == expected
+        assert got.max_deviation == expected.max_deviation
+
+
+def test_nonzero_count_is_pinned(odo22):
+    # Haar vanishes on the cycline monomials off degree difference 0,
+    # a character does not; two of the 500 samples are nonzero
+    haar = verify_kms(make_kms_state(odo22), sample_count=500, seed=7)
+    assert haar.ok
+    assert (haar.checked, haar.nonzero) == (162 ** 2 + 500, 211)
+    state = make_kms_state(odo22, trace=character_trace([0.3]))
+    report = verify_kms(state, sample_count=500, seed=7)
+    assert report.ok
+    assert (report.checked, report.nonzero) == (162 ** 2 + 500, 401)
+
+
+def test_kms_check_fails_off_the_lattice(odo22):
+    state = make_kms_state(odo22)
+    broken = dataclasses.replace(
+        state, lattice=PeriodicityLattice(0, (), 4, 3))
+    with pytest.raises(NotInLattice, match=r"\(1, -1\)"):
+        verify_kms(broken, sample_count=10)
+
+
+def test_kms_check_fails_without_gauge_factor(odo22, monkeypatch):
+    monkeypatch.setattr(kms, "_gauge_factor", lambda state, key: 1)
+    report = verify_kms(make_kms_state(odo22), sample_count=10)
+    assert not report.ok
+    assert report.max_deviation == 0.75
 
 
 def test_restricted_diagonal_matches_perron_state(odo22, odo23):
