@@ -2,7 +2,7 @@
 path spaces, hypothesis checks, periodicity lattices, the associated
 monomial algebra, and KMS equilibrium states."""
 
-from .action import ActionCaps, ActionSystem, ExactZSystem, GeneratorTable, \
+from .action import ActionCaps, ActionSystem, GeneratorTable, \
     GroupElement, HypothesisVerdict, check_locally_faithful, \
     check_pseudo_free, validate_action
 from .algebra import AlgebraElement, Monomial, adjoint, element, \

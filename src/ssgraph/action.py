@@ -2,8 +2,9 @@
 
 A group is presented by generator tables: each generator permutes the
 vertices and the edges of every color and leaves behind a restriction
-word per edge.  A word's canonical form is the signature of the
-minimal automaton of its restriction closure, found by Moore partition
+word per edge.  Elements are words over signed 1-based generator
+indices.  A word's canonical form is the signature of the minimal
+automaton of its restriction closure, found by Moore partition
 refinement; the first word seen with a signature represents it.  Every
 GroupElement a system hands out carries such a representative, so
 element equality is key equality.  Caps turn a failing finite-state
@@ -18,11 +19,11 @@ which is the group itself when that group acts faithfully.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Hashable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ClosureExceeded, PreconditionViolated, ValidationReport
-from .kgraph import Edge, KGraph, Path, unit_degree
+from .kgraph import Edge, KGraph, Path
 
 Word = tuple[int, ...]
 ColorEdge = tuple[int, int]
@@ -35,7 +36,7 @@ class GroupElement(NamedTuple):
     so handles must not share a dict with unrelated tuple keys.
     """
 
-    key: Hashable
+    key: Word
 
 
 @dataclass(frozen=True)
@@ -89,20 +90,17 @@ class ActionSystem:
             for v, w in enumerate(gen.vertex_map):
                 inv_v[w if ok else v] = v
             self._inv_vertex.append(tuple(inv_v))
-        self._act_memo: dict[tuple[Hashable, ColorEdge], int] = {}
-        self._res_memo: dict[tuple[Hashable, ColorEdge], Hashable] = {}
+        self._act_memo: dict[tuple[Word, ColorEdge], int] = {}
+        self._res_memo: dict[tuple[Word, ColorEdge], Word] = {}
         self._color_edges = tuple((color, e.id) for color in range(graph.k)
                                   for e in graph.edges[color])
-        self._canon_memo: dict[Hashable, Hashable] = {}
-        self._by_signature: dict[tuple, Hashable] = {}
+        self._canon_memo: dict[Word, Word] = {}
+        self._by_signature: dict[tuple, Word] = {}
         # canonicalised first, the identity represents its own class
-        self._canonical_key(self._identity_key())
+        self._canonical_key(())
         self.cycline_memo: dict = {}
 
-    # -- raw key operations (word engine; overridden by exact engines) --
-
-    def _identity_key(self) -> Hashable:
-        return ()
+    # -- raw word operations --------------------------------------------
 
     def _reduce(self, word: Word) -> Word:
         out: list[int] = []
@@ -113,10 +111,7 @@ class ActionSystem:
                 out.append(letter)
         return tuple(out)
 
-    def _mul_raw(self, a: Hashable, b: Hashable) -> Hashable:
-        return self._reduce(a + b)
-
-    def _inv_raw(self, a: Hashable) -> Hashable:
+    def _inv_raw(self, a: Word) -> Word:
         return tuple(-letter for letter in reversed(a))
 
     def _letter_act(self, letter: int, ce: ColorEdge) -> int:
@@ -136,7 +131,7 @@ class ActionSystem:
         pre = self._letter_act(letter, ce)
         return self._inv_raw(gen.restrict[(ce[0], pre)])
 
-    def _act_edge_raw(self, key: Hashable, ce: ColorEdge) -> int:
+    def _act_edge_raw(self, key: Word, ce: ColorEdge) -> int:
         memo_key = (key, ce)
         hit = self._act_memo.get(memo_key)
         if hit is not None:
@@ -147,7 +142,7 @@ class ActionSystem:
         self._act_memo[memo_key] = eid
         return eid
 
-    def _restrict_edge_raw(self, key: Hashable, ce: ColorEdge) -> Hashable:
+    def _restrict_edge_raw(self, key: Word, ce: ColorEdge) -> Word:
         memo_key = (key, ce)
         hit = self._res_memo.get(memo_key)
         if hit is not None:
@@ -164,7 +159,7 @@ class ActionSystem:
         self._res_memo[memo_key] = out
         return out
 
-    def _act_vertex_raw(self, key: Hashable, v: int) -> int:
+    def _act_vertex_raw(self, key: Word, v: int) -> int:
         for letter in reversed(key):
             if letter > 0:
                 v = self.generators[letter - 1].vertex_map[v]
@@ -172,7 +167,7 @@ class ActionSystem:
                 v = self._inv_vertex[-letter - 1][v]
         return v
 
-    def key_str(self, key: Hashable) -> str:
+    def key_str(self, key: Word) -> str:
         if not key:
             return "1"
         parts = []
@@ -183,7 +178,7 @@ class ActionSystem:
 
     # -- canonical forms by partition refinement ------------------------
 
-    def _canonical_key(self, key: Hashable) -> Hashable:
+    def _canonical_key(self, key: Word) -> Word:
         key = self._reduce(key)
         hit = self._canon_memo.get(key)
         if hit is None:
@@ -230,7 +225,7 @@ class ActionSystem:
 
     @property
     def identity(self) -> GroupElement:
-        return GroupElement(self._identity_key())
+        return GroupElement(())
 
     def generator_element(self, name: str) -> GroupElement:
         for idx, gen in enumerate(self.generators, start=1):
@@ -252,7 +247,7 @@ class ActionSystem:
         return self.equal(g, self.identity)
 
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return GroupElement(self._canonical_key(self._mul_raw(g.key, h.key)))
+        return GroupElement(self._canonical_key(g.key + h.key))
 
     def inverse(self, g: GroupElement) -> GroupElement:
         return GroupElement(self._canonical_key(self._inv_raw(g.key)))
@@ -292,8 +287,8 @@ class ActionSystem:
                             cap: int | None = None) -> list[GroupElement]:
         """Smallest set containing the seeds closed under edge restriction."""
         cap = cap or self.caps.max_closure
-        keys: list[Hashable] = []
-        seen: set[Hashable] = set()
+        keys: list[Word] = []
+        seen: set[Word] = set()
 
         def visit(key):
             if key not in seen:
@@ -321,8 +316,7 @@ class ActionSystem:
             new_frontier = []
             for g in frontier:
                 for letter in letters:
-                    h = GroupElement(self._canonical_key(
-                        self._mul_raw(g.key, (letter,))))
+                    h = GroupElement(self._canonical_key(g.key + (letter,)))
                     if h.key not in seen:
                         if len(seen) >= self.caps.max_closure:
                             raise ClosureExceeded(
@@ -338,69 +332,6 @@ def _number(keys) -> list[int]:
     """Number the distinct keys in order of first appearance."""
     ids: dict = {}
     return [ids.setdefault(key, len(ids)) for key in keys]
-
-
-class ExactZSystem(ActionSystem):
-    """Action of the integers with closed-form edge arithmetic.
-
-    Subclasses supply ``_z_act`` and ``_z_restrict``; integers are the
-    canonical keys, so equality is integer equality and no signature is
-    computed.  The word engine on the same generator tables,
-    ``ActionSystem(system.graph, system.generators)``, canonicalises by
-    signature instead, which lets tests confirm that both notions of
-    equality agree.
-    """
-
-    def _identity_key(self) -> Hashable:
-        return 0
-
-    def _reduce(self, word):
-        return word
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        return a + b
-
-    def _inv_raw(self, a: int) -> int:
-        return -a
-
-    def _canonical_key(self, key) -> int:
-        if not isinstance(key, int):
-            key = sum(1 if letter > 0 else -1 for letter in key)
-        return key
-
-    def _act_edge_raw(self, key: int, ce: ColorEdge) -> int:
-        return self._z_act(key, ce)
-
-    def _restrict_edge_raw(self, key: int, ce: ColorEdge) -> int:
-        return self._z_restrict(key, ce)
-
-    def _act_vertex_raw(self, key: int, v: int) -> int:
-        return v
-
-    def key_str(self, key: int) -> str:
-        return f"{key:+d}" if key else "1"
-
-    def _z_act(self, m: int, ce: ColorEdge) -> int:
-        raise NotImplementedError
-
-    def _z_restrict(self, m: int, ce: ColorEdge) -> int:
-        raise NotImplementedError
-
-    def element(self, m: int) -> GroupElement:
-        return GroupElement(int(m))
-
-    def element_from_word(self, letters: Sequence[int]) -> GroupElement:
-        for letter in letters:
-            if abs(letter) != 1:
-                raise PreconditionViolated(f"bad generator index {letter}")
-        return GroupElement(sum(letters))
-
-    def word_ball(self, radius: int) -> list[GroupElement]:
-        out = [self.element(0)]
-        for r in range(1, radius + 1):
-            out.append(self.element(r))
-            out.append(self.element(-r))
-        return out
 
 
 # -- hypothesis checks --------------------------------------------------

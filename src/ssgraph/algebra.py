@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import IncompleteTriples, NotPeriodic, PreconditionViolated
+from .errors import IncompleteTriples, NonComposable, NotPeriodic, \
+    ParseError, PreconditionViolated, need_field
 from .kgraph import Path, join_degrees, zero_degree
 from .periodicity import cycline_triples, is_cycline
 
@@ -329,13 +330,24 @@ def _path_to_json(p: Path):
             "edges": [[e.color + 1, e.id] for e in p.edges]}
 
 
-def _path_from_json(graph, obj) -> Path:
-    edges = [graph.edge(color - 1, eid) for color, eid in obj["edges"]]
-    return graph.path(edges, range_vertex=obj["range"])
-
-
-def _element_key_to_json(key):
-    return key if isinstance(key, int) else list(key)
+def _path_from_json(graph, row, side, where) -> Path:
+    obj = need_field(row, side, dict, where)
+    where = f"{where} {side}"
+    edges = []
+    for pair in need_field(obj, "edges", list, where):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(x) is int for x in pair)
+                and 1 <= pair[0] <= graph.k
+                and 0 <= pair[1] < len(graph.edges[pair[0] - 1])):
+            raise ParseError(f"{where}: no edge {pair}")
+        edges.append(graph.edge(pair[0] - 1, pair[1]))
+    range_vertex = need_field(obj, "range", int, where)
+    if not 0 <= range_vertex < graph.num_vertices:
+        raise ParseError(f"{where}: no vertex {range_vertex}")
+    try:
+        return graph.path(edges, range_vertex=range_vertex)
+    except NonComposable as err:
+        raise ParseError(f"{where}: {err}") from err
 
 
 def element_to_json(a: AlgebraElement) -> list:
@@ -344,7 +356,7 @@ def element_to_json(a: AlgebraElement) -> list:
         coeff = _as_coeff(val, False)
         out.append({
             "mu": _path_to_json(key.mu),
-            "g": _element_key_to_json(key.g.key),
+            "g": list(key.g.key),
             "nu": _path_to_json(key.nu),
             "re": coeff.real,
             "im": coeff.imag,
@@ -356,12 +368,24 @@ def element_to_json(a: AlgebraElement) -> list:
 
 
 def element_from_json(system, rows, exact: bool = False) -> AlgebraElement:
+    """Inverse of :func:`element_to_json`.  Rows come from outside the
+    program, so each malformed one raises ParseError."""
+    if not isinstance(rows, list):
+        raise ParseError("an element must be a list of rows")
     entries = []
-    for row in rows:
-        mu = _path_from_json(system.graph, row["mu"])
-        nu = _path_from_json(system.graph, row["nu"])
-        raw = row["g"]
-        g = system.element(raw) if isinstance(raw, int) \
-            else system.element_from_word(tuple(raw))
-        entries.append((mu, g, nu, complex(row["re"], row.get("im", 0.0))))
+    for i, row in enumerate(rows):
+        where = f"element row {i}"
+        mu = _path_from_json(system.graph, row, "mu", where)
+        nu = _path_from_json(system.graph, row, "nu", where)
+        word = need_field(row, "g", list, where)
+        if not all(type(x) is int for x in word):
+            raise ParseError(f"{where}: g must be a list of generator indices")
+        try:
+            g = system.element_from_word(tuple(word))
+        except PreconditionViolated as err:
+            raise ParseError(f"{where}: {err}") from err
+        re, im = need_field(row, "re", object, where), row.get("im", 0.0)
+        if not all(isinstance(x, (int, float)) for x in (re, im)):
+            raise ParseError(f"{where}: re and im must be numbers")
+        entries.append((mu, g, nu, complex(re, im)))
     return element(system, entries, exact)

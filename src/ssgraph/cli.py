@@ -15,7 +15,7 @@ from . import algebra, kms
 from .action import ActionSystem, GeneratorTable, check_locally_faithful, \
     check_pseudo_free, validate_action
 from .errors import ClosureExceeded, NoConvergence, NotStronglyConnected, \
-    ParseError, ValidationError, ValidationReport
+    ParseError, ValidationError, ValidationReport, need_field
 from .kgraph import Edge, KGraph, validate_kgraph
 from .models import build_katsura, build_odometer, check_degenerate_property
 from .periodicity import periodicity_group
@@ -30,15 +30,6 @@ EXIT_CAPPED = 3
 
 
 # -- parsing -------------------------------------------------------------
-
-def _need(obj, key, kind, where):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ParseError(f"{where}: missing field {key!r}")
-    value = obj[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise ParseError(f"{where}: field {key!r} must be {kind.__name__}")
-    return value
-
 
 def parse_model(data, validate: bool = True):
     """Parse a model document into a graph and an action system.
@@ -58,21 +49,21 @@ def parse_model(data, validate: bool = True):
         raise ParseError("model document must be a JSON object")
     if doc.get("schema") != MODEL_SCHEMA:
         raise ParseError(f"schema must be {MODEL_SCHEMA!r}")
-    k = _need(doc, "k", int, "model")
+    k = need_field(doc, "k", int, "model")
     if k < 1:
         raise ParseError("k must be at least 1")
-    vertices = _need(doc, "vertices", list, "model")
+    vertices = need_field(doc, "vertices", list, "model")
     if not vertices or not all(isinstance(v, str) for v in vertices):
         raise ParseError("vertices must be a nonempty list of names")
     num_vertices = len(vertices)
 
     rows = [[] for _ in range(k)]
     seen_ids = set()
-    for entry in _need(doc, "edges", list, "model"):
-        eid = _need(entry, "id", int, "edge")
-        color = _need(entry, "color", int, "edge")
-        source = _need(entry, "source", int, "edge")
-        range_vertex = _need(entry, "range", int, "edge")
+    for entry in need_field(doc, "edges", list, "model"):
+        eid = need_field(entry, "id", int, "edge")
+        color = need_field(entry, "color", int, "edge")
+        source = need_field(entry, "source", int, "edge")
+        range_vertex = need_field(entry, "range", int, "edge")
         if not 1 <= color <= k:
             raise ParseError(f"edge {eid}: color {color} out of range")
         if (color, eid) in seen_ids:
@@ -87,13 +78,13 @@ def parse_model(data, validate: bool = True):
             raise ParseError(f"color {color + 1} ids must be 0..{len(row) - 1}")
 
     squares = {}
-    for entry in _need(doc, "squares", list, "model"):
-        i = _need(entry, "i", int, "square")
-        j = _need(entry, "j", int, "square")
-        f = _need(entry, "f", int, "square")
-        g = _need(entry, "g", int, "square")
-        g2 = _need(entry, "gPrime", int, "square")
-        f2 = _need(entry, "fPrime", int, "square")
+    for entry in need_field(doc, "squares", list, "model"):
+        i = need_field(entry, "i", int, "square")
+        j = need_field(entry, "j", int, "square")
+        f = need_field(entry, "f", int, "square")
+        g = need_field(entry, "g", int, "square")
+        g2 = need_field(entry, "gPrime", int, "square")
+        f2 = need_field(entry, "fPrime", int, "square")
         if not 1 <= i < j <= k:
             raise ParseError(f"square colors ({i},{j}) must satisfy i<j")
         table = squares.setdefault((i - 1, j - 1), {})
@@ -107,19 +98,19 @@ def parse_model(data, validate: bool = True):
 
     generators = []
     names = set()
-    gen_entries = _need(doc, "generators", list, "model")
+    gen_entries = need_field(doc, "generators", list, "model")
     for entry in gen_entries:
-        name = _need(entry, "name", str, "generator")
+        name = need_field(entry, "name", str, "generator")
         if not name or name in names:
             raise ParseError(f"generator name {name!r} missing or repeated")
         names.add(name)
         act = {}
         restrict = {}
-        for row in _need(entry, "edgeAction", list, f"generator {name}"):
-            color = _need(row, "color", int, "edgeAction")
-            eid = _need(row, "edge", int, "edgeAction")
-            image = _need(row, "image", list, "edgeAction")
-            word = _need(row, "restrictionWord", list, "edgeAction")
+        for row in need_field(entry, "edgeAction", list, f"generator {name}"):
+            color = need_field(row, "color", int, "edgeAction")
+            eid = need_field(row, "edge", int, "edgeAction")
+            image = need_field(row, "image", list, "edgeAction")
+            word = need_field(row, "restrictionWord", list, "edgeAction")
             if len(image) != 2 or not all(isinstance(x, int) for x in image):
                 raise ParseError(f"generator {name}: image must be "
                                  "[color, id]")

@@ -68,6 +68,17 @@ class ParseError(SSGraphError):
     """A model or element file is structurally malformed."""
 
 
+def need_field(obj, key, kind, where):
+    """``obj[key]`` if ``obj`` is a dict holding a ``kind`` there (a bool
+    is not an int); otherwise ParseError naming ``where``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParseError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(f"{where}: field {key!r} must be {kind.__name__}")
+    return value
+
+
 class ValidationError(SSGraphError):
     """A parsed model failed semantic validation; carries the report."""
 

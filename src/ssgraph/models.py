@@ -1,7 +1,8 @@
 """Built-in model families: products of odometers and Katsura graphs.
 
-Both families act through exact integer arithmetic: the group is the
-integers, acting by addition with carry.  The odometer family also
+In both families the group is the integers, acting by addition with
+carry through a single generator ``+1``; elements are words in ``+1``
+on the word engine of :mod:`ssgraph.action`.  The odometer family also
 carries an independent positional-arithmetic oracle (digit words are
 least-significant-first), used to cross-check the factorization-table
 machinery and the periodicity search.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .action import ActionCaps, ExactZSystem, GeneratorTable
+from .action import ActionCaps, ActionSystem, GeneratorTable, GroupElement
 from .errors import DomainError, NotBalanced, SpecViolation
 from .intlattice import hnf_basis
 from .kgraph import Edge, KGraph, Path
@@ -47,7 +48,15 @@ def odometer_graph(n: tuple[int, ...]) -> KGraph:
     return KGraph(k, 1, edges, squares)
 
 
-class OdometerSystem(ExactZSystem):
+class _IntegerSystem(ActionSystem):
+    """The integers acting through the one generator ``+1``."""
+
+    def element(self, m: int) -> GroupElement:
+        """The integer ``m`` as the word ``(+1)^m``."""
+        return self.element_from_word((1 if m >= 0 else -1,) * abs(m))
+
+
+class OdometerSystem(_IntegerSystem):
     """The integers adding with carry on a product of odometers."""
 
     def __init__(self, n: tuple[int, ...], caps: ActionCaps | None = None):
@@ -61,14 +70,6 @@ class OdometerSystem(ExactZSystem):
                 restrict[(color, s)] = () if s < size - 1 else (1,)
         table = GeneratorTable("+1", (0,), act, restrict)
         super().__init__(graph, (table,), caps)
-
-    def _z_act(self, m: int, ce) -> int:
-        color, s = ce
-        return (s + m) % self.n[color]
-
-    def _z_restrict(self, m: int, ce) -> int:
-        color, s = ce
-        return (s + m) // self.n[color]
 
 
 def build_odometer(n, caps=None) -> OdometerSystem:
@@ -225,7 +226,7 @@ def _as_matrix(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-class KatsuraSystem(ExactZSystem):
+class KatsuraSystem(_IntegerSystem):
     """The integers acting on the 1-graph of a Katsura pair (T, B).
 
     Edges with range v and source w are ``(v, w, 0..T[v][w]-1)``; the
@@ -244,7 +245,7 @@ class KatsuraSystem(ExactZSystem):
                 for m in range(self.t_matrix[v][w]):
                     triples.append((v, w, m))
         self.triples = tuple(triples)
-        self._triple_ids = {trip: i for i, trip in enumerate(triples)}
+        ids = {trip: i for i, trip in enumerate(triples)}
         edges = [[Edge(i, 0, w, v) for i, (v, w, _) in enumerate(triples)]]
         graph = KGraph(1, size, edges, {})
         act = {}
@@ -252,19 +253,10 @@ class KatsuraSystem(ExactZSystem):
         for i, (v, w, m) in enumerate(triples):
             total = self.b_matrix[v][w] + m
             h, n = divmod(total, self.t_matrix[v][w])
-            act[(0, i)] = self._triple_ids[(v, w, n)]
+            act[(0, i)] = ids[(v, w, n)]
             restrict[(0, i)] = () if h == 0 else (h,) if h == 1 else (-1,)
         table = GeneratorTable("+1", tuple(range(size)), act, restrict)
         super().__init__(graph, (table,), caps)
-
-    def _z_act(self, g: int, ce) -> int:
-        v, w, m = self.triples[ce[1]]
-        n = (g * self.b_matrix[v][w] + m) % self.t_matrix[v][w]
-        return self._triple_ids[(v, w, n)]
-
-    def _z_restrict(self, g: int, ce) -> int:
-        v, w, m = self.triples[ce[1]]
-        return (g * self.b_matrix[v][w] + m) // self.t_matrix[v][w]
 
 
 def _validate_katsura(t_matrix, b_matrix) -> None:
@@ -303,17 +295,15 @@ def check_degenerate_property(system, depth_cap: int = 8):
     help), or None when the search hit the depth cap undecided.
     """
     graph = system.graph
-    id_key = system.identity.key
     states = system.restriction_closure(
         [system.identity]
         + [system.generator_element(g.name) for g in system.generators])
     undecided = False
     for g in states:
-        g_key = g.key
-        if g_key == id_key:
+        if system.is_identity(g):
             continue
         for v in range(graph.num_vertices):
-            verdict = _restricts_to_identity(system, g_key, v, depth_cap, id_key)
+            verdict = _restricts_to_identity(system, g, v, depth_cap)
             if verdict is False:
                 return False
             if verdict is None:
@@ -321,18 +311,17 @@ def check_degenerate_property(system, depth_cap: int = 8):
     return None if undecided else True
 
 
-def _restricts_to_identity(system, g_key, v, depth_cap, id_key):
+def _restricts_to_identity(system, g, v, depth_cap):
     graph = system.graph
-    seen = {(g_key, v)}
-    frontier = [(g_key, v)]
+    seen = {(g, v)}
+    frontier = [(g, v)]
     for _ in range(depth_cap):
         next_frontier = []
-        for key, w in frontier:
+        for h, w in frontier:
             for color in range(graph.k):
                 for e in graph.edges_from(w, color):
-                    res = system._canonical_key(
-                        system._restrict_edge_raw(key, (color, e.id)))
-                    if res == id_key:
+                    res = system.restrict_edge(h, e)
+                    if system.is_identity(res):
                         return True
                     node = (res, e.source)
                     if node not in seen:

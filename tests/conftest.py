@@ -124,7 +124,7 @@ def capped_odometer_tables():
 
 @pytest.fixture(scope="session")
 def word_odometer22():
-    """The n=(2,2) adding machine built from raw generator tables, so
-    group arithmetic runs on the word engine rather than on integers."""
-    exact = build_odometer((2, 2))
-    return ActionSystem(exact.graph, exact.generators)
+    """A second system on the generator tables of the (2,2) odometer,
+    with memos and class representatives of its own."""
+    odometer = build_odometer((2, 2))
+    return ActionSystem(odometer.graph, odometer.generators)

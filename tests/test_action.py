@@ -11,8 +11,9 @@ from ssgraph.action import ActionCaps, ActionSystem, check_locally_faithful, \
 from ssgraph.cli import parse_model
 from ssgraph.errors import ClosureExceeded, PreconditionViolated
 from ssgraph.kgraph import add_degrees
-from ssgraph.models import build_odometer, degree_weight, odometer_path, \
-    odometer_value
+from ssgraph.models import BUILTIN_KATSURA, BUILTIN_ODOMETERS, \
+    KatsuraSystem, build_katsura, build_odometer, degree_weight, \
+    odometer_path, odometer_value
 
 MODELS = Path(__file__).resolve().parent.parent / "bench" / "models"
 
@@ -41,22 +42,39 @@ def random_paths(graph, rng, count, max_degree):
 
 # -- group arithmetic ----------------------------------------------------
 
-def test_word_and_integer_engines_agree(odo22, word_odometer22):
-    # classifying words by bisimulation must reproduce integer addition
-    word = word_odometer22
-    rng = random.Random(3)
-    for _ in range(40):
-        a = rng.randint(-6, 6)
-        b = rng.randint(-6, 6)
-        wa = word.element_from_word([1] * a if a >= 0 else [-1] * -a)
-        wb = word.element_from_word([1] * b if b >= 0 else [-1] * -b)
-        wc = word.multiply(wa, wb)
-        ec = odo22.element(a + b)
-        # same canonical behaviour on every path of degree <= (2,2)
-        for mu in odo22.graph.paths_of_degree((2, 2)):
-            left = word.act_path(wc, mu)
-            right = odo22.act_path(ec, mu)
-            assert [e.id for e in left.edges] == [e.id for e in right.edges]
+def _odometer_closed_form(system, m, e):
+    """Image id and carry of ``m`` on an odometer edge: ``s + m`` with
+    carry in base ``n[color]``."""
+    size = system.n[e.color]
+    return (e.id + m) % size, (e.id + m) // size
+
+
+def _katsura_closed_form(system, m, e):
+    """Image id and carry of ``m`` on the Katsura edge (v, w, j): with
+    ``m*B[v][w] + j = h*T[v][w] + r``, it goes to (v, w, r) and
+    restricts to h."""
+    v, w, j = system.triples[e.id]
+    h, r = divmod(m * system.b_matrix[v][w] + j, system.t_matrix[v][w])
+    return system.triples.index((v, w, r)), h
+
+
+def test_word_and_integer_engines_agree():
+    # the word engine against the closed forms of the integer action
+    minus_one = build_katsura([[2]], [[-1]])
+    assert (-1,) in minus_one.generators[0].restrict.values()
+    systems = [build_odometer(n) for n in BUILTIN_ODOMETERS]
+    systems += [build_katsura(t, b) for t, b in BUILTIN_KATSURA]
+    systems += [build_katsura([[2, 1], [1, 2]], [[1, 1], [1, 1]]), minus_one]
+    for system in systems:
+        closed_form = _katsura_closed_form \
+            if isinstance(system, KatsuraSystem) else _odometer_closed_form
+        for m in range(-6, 7):
+            g = system.element(m)
+            for e in (e for row in system.graph.edges for e in row):
+                image, carry = closed_form(system, m, e)
+                assert system.act_edge(g, e) == system.graph.edge(e.color,
+                                                                  image)
+                assert system.restrict_edge(g, e) == system.element(carry)
 
 
 def test_doubling_word_is_not_identity_on_binary_machine():
@@ -110,8 +128,7 @@ def word_system(name):
     """One shared word-engine system per table set, so memos carry
     over between examples as they do within one analysis."""
     if name == "odometer22":
-        exact = build_odometer((2, 2))
-        return ActionSystem(exact.graph, exact.generators)
+        return build_odometer((2, 2))
     return bench_model(name)
 
 

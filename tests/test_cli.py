@@ -402,6 +402,29 @@ def test_kms_eval_character_trace(tmp_path):
     assert doc["value"]["im"] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("g", 1, "field 'g' must be list"),
+    ("g", [5], "bad generator index 5"),
+    ("mu", {"range": 0, "edges": [[1, 7]]}, "no edge [1, 7]"),
+    ("mu", None, "missing field 'mu'"),
+], ids=["integer-g", "unknown-generator", "unknown-edge", "missing-mu"])
+def test_kms_eval_rejects_bad_element_rows(tmp_path, capsys, field, value,
+                                           message):
+    model = gen_file(tmp_path, "odo2.json", "gen", "odometer", "--n", "2")
+    row = {"mu": {"range": 0, "edges": []}, "g": [],
+           "nu": {"range": 0, "edges": []}, "re": 1.0, "im": 0.0}
+    row[field] = value
+    if value is None:
+        del row[field]
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps([row]))
+    assert main(["kms-eval", str(model), "--samples", "0",
+                 "--element", str(element)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: element row 0")
+    assert message in err
+
+
 def test_kms_eval_bad_trace_exit(tmp_path, capsys):
     model = gen_file(tmp_path, "odo22.json", "gen", "odometer", "--n", "2,2")
     assert main(["kms-eval", str(model),
