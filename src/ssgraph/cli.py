@@ -260,10 +260,10 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
     try:
         data = spectral_data(graph)
         perron = {
-            "rho": [float(r) for r in data.rho],
+            "rho": list(data.rho),
             "rhoInt": list(data.rho_int) if data.rho_int else None,
-            "x": [float(v) for v in data.x],
-            "residuals": [float(r) for r in data.residuals],
+            "x": list(data.x),
+            "residuals": list(data.residuals),
             "iterations": data.iterations,
         }
     except (NotStronglyConnected, NoConvergence) as err:
@@ -277,12 +277,7 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
         try:
             lattice = periodicity_group(system, box_radius, ball_radius,
                                         perron_data=data, tol=tol)
-            periodicity = {
-                "rank": lattice.rank,
-                "basis": [list(v) for v in lattice.basis],
-                "boxRadius": lattice.box_radius,
-                "ballRadius": lattice.ball_radius,
-            }
+            periodicity = _lattice_doc(lattice)
         except ClosureExceeded as err:
             periodicity = {"error": str(err)}
             capped = True
@@ -306,6 +301,15 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
     report["kms"] = kms_section
     report["capped"] = capped
     return report
+
+
+def _lattice_doc(lattice) -> dict:
+    return {
+        "rank": lattice.rank,
+        "basis": [list(v) for v in lattice.basis],
+        "boxRadius": lattice.box_radius,
+        "ballRadius": lattice.ball_radius,
+    }
 
 
 def _witness_text(verdict) -> str:
@@ -459,13 +463,7 @@ def _dispatch(args) -> int:
         graph, system = _load_validated(args.model)
         lattice = periodicity_group(system, args.box, args.ball,
                                     tol=args.tol)
-        doc = {
-            "rank": lattice.rank,
-            "basis": [list(v) for v in lattice.basis],
-            "boxRadius": lattice.box_radius,
-            "ballRadius": lattice.ball_radius,
-        }
-        _write_output(doc, args.out)
+        _write_output(_lattice_doc(lattice), args.out)
         return EXIT_OK
 
     if args.verb == "kms-eval":

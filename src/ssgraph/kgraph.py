@@ -15,8 +15,6 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import BadRange, NonComposable, ValidationReport
 
 Degree = tuple[int, ...]
@@ -295,12 +293,12 @@ class KGraph:
 
     # -- graph-level data ----------------------------------------------
 
-    def coordinate_matrix(self, color: int) -> np.ndarray:
+    def coordinate_matrix(self, color: int) -> tuple[tuple[int, ...], ...]:
         """Vertex matrix of the color: entry (v, w) counts ``v Lambda w``."""
-        mat = np.zeros((self.num_vertices, self.num_vertices), dtype=np.int64)
+        mat = [[0] * self.num_vertices for _ in range(self.num_vertices)]
         for e in self.edges[color]:
-            mat[e.range_vertex, e.source] += 1
-        return mat
+            mat[e.range_vertex][e.source] += 1
+        return tuple(map(tuple, mat))
 
     def strongly_connected(self) -> bool:
         fwd = [set() for _ in range(self.num_vertices)]

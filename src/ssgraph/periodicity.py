@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import (BoxClosureViolation, ClosureExceeded,
                      PreconditionViolated)
-from .intlattice import hnf_basis
+from .intlattice import hnf_basis, lattice_contains
 from .kgraph import Path, join_degrees, meet_degrees
 from .perron import PerronData, rho_power_is_one, spectral_data
 
@@ -164,7 +164,6 @@ class PeriodicityLattice:
     ball_radius: int
 
     def contains(self, z) -> bool:
-        from .intlattice import lattice_contains
         return lattice_contains(self.basis, tuple(z))
 
 

@@ -5,15 +5,21 @@ commute and share a unique positive l1-normalized eigenvector; the
 per-color spectral radii form the vector rho.  Power iteration runs on
 I + product of the coordinate matrices, which is primitive whenever the
 graph is strongly connected, so periodic skeletons converge too.
+
+The matrices are a few vertices wide, so the iteration runs on plain
+floats.  Every float dot product and total is summed left to right from
+0.0 in an explicit loop: the built-in ``sum`` compensates float sums
+since Python 3.12, which would tie the reported bits to the version.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import NoConvergence, NotStronglyConnected
+from .intlattice import hnf_basis
 from .kgraph import KGraph
 
 INTEGER_TOL = 1e-9
@@ -25,7 +31,7 @@ class PerronData:
     residuals achieved, and an exact integer certificate when available."""
 
     rho: tuple[float, ...]
-    x: np.ndarray
+    x: tuple[float, ...]
     residuals: tuple[float, ...]
     iterations: int
     rho_int: tuple[int, ...] | None
@@ -37,56 +43,67 @@ class PerronData:
         return out
 
 
+def _total(values) -> float:
+    out = 0.0
+    for value in values:
+        out += value
+    return out
+
+
+def _mat_vec(mat, x) -> list[float]:
+    return [_total(a * b for a, b in zip(row, x)) for row in mat]
+
+
 def spectral_data(graph: KGraph, tol: float = 1e-12,
                   max_iter: int = 100_000) -> PerronData:
     """Power iteration for the common eigenvector and the radii vector."""
     if not graph.strongly_connected():
         raise NotStronglyConnected("spectral data needs a strongly connected graph")
+    n = graph.num_vertices
     mats = [graph.coordinate_matrix(color) for color in range(graph.k)]
-    product = np.eye(graph.num_vertices)
+    product = [[int(i == j) for j in range(n)] for i in range(n)]
     for mat in mats:
-        product = product @ mat
-    shifted = product + np.eye(graph.num_vertices)
-    x = np.full(graph.num_vertices, 1.0 / graph.num_vertices)
+        product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*mat)]
+                   for row in product]
+    shifted = [[a + (i == j) for j, a in enumerate(row)]
+               for i, row in enumerate(product)]
+    x = [1.0 / n] * n
     iterations = 0
     residuals = None
     for iterations in range(1, max_iter + 1):
-        x = shifted @ x
-        x /= x.sum()
-        rho = tuple(float((mat @ x).sum()) for mat in mats)
-        residuals = tuple(
-            float(np.abs(mat @ x - r * x).sum()) for mat, r in zip(mats, rho))
+        x = _mat_vec(shifted, x)
+        total = _total(x)
+        x = [v / total for v in x]
+        images = [_mat_vec(mat, x) for mat in mats]
+        rho = tuple(_total(image) for image in images)
+        residuals = tuple(_total(abs(a - r * b) for a, b in zip(image, x))
+                          for image, r in zip(images, rho))
         if max(residuals) < tol:
             break
     else:
         raise NoConvergence(
             f"residual {max(residuals):.3e} after {max_iter} iterations")
-    rho = tuple(float((mat @ x).sum()) for mat in mats)
-    return PerronData(rho, x, residuals, iterations, _integer_certificate(mats, rho, x))
+    return PerronData(rho, tuple(x), residuals, iterations,
+                      _integer_certificate(mats, rho, x))
 
 
 def _integer_certificate(mats, rho, x):
     """Round rho to integers and certify by an exact rational
     eigenvector check; None unless every color certifies."""
-    ints = []
-    for r in rho:
-        r_int = round(r)
-        if abs(r - r_int) >= INTEGER_TOL:
-            return None
-        ints.append(int(r_int))
-    rational = [Fraction(v).limit_denominator(10 ** 9) for v in x / x.max()]
+    ints = tuple(round(r) for r in rho)
+    if any(abs(r - r_int) >= INTEGER_TOL for r, r_int in zip(rho, ints)):
+        return None
+    rational = [Fraction(v / max(x)).limit_denominator(10 ** 9) for v in x]
     for mat, r_int in zip(mats, ints):
-        for row in range(len(rational)):
-            acc = sum(Fraction(int(mat[row, col])) * rational[col]
-                      for col in range(len(rational)))
-            if acc != r_int * rational[row]:
+        for row, value in zip(mat, rational):
+            if sum(a * b for a, b in zip(row, rational)) != r_int * value:
                 return None
-    return tuple(ints)
+    return ints
 
 
 def pf_state_value(data: PerronData, mu) -> float:
     """The diagonal state value rho**(-d(mu)) * x(s(mu))."""
-    return float(data.x[mu.source]) / data.rho_power(mu.degree)
+    return data.x[mu.source] / data.rho_power(mu.degree)
 
 
 def check_g_invariance(data: PerronData, system, tol: float = 1e-9) -> bool:
@@ -95,7 +112,7 @@ def check_g_invariance(data: PerronData, system, tol: float = 1e-9) -> bool:
     for gen in system.generators:
         g = system.generator_element(gen.name)
         for v in range(system.graph.num_vertices):
-            if abs(float(data.x[system.act_vertex(g, v)] - data.x[v])) >= tol:
+            if abs(data.x[system.act_vertex(g, v)] - data.x[v]) >= tol:
                 return False
     return True
 
@@ -104,10 +121,6 @@ def rho_kernel_lattice(data: PerronData, box_radius: int,
                        tol: float = 1e-9):
     """Hermite basis for the box vectors with ``rho ** z == 1``; exact
     integer arithmetic once every radius is integer-certified."""
-    import itertools
-
-    from .intlattice import hnf_basis
-
     k = len(data.rho)
     members = []
     for z in itertools.product(range(-box_radius, box_radius + 1), repeat=k):
@@ -124,5 +137,5 @@ def rho_power_is_one(data: PerronData, z, tol: float = 1e-9) -> bool:
         for base, exp in zip(data.rho_int, z):
             value *= Fraction(base) ** exp
         return value == 1
-    log_sum = sum(exp * np.log(base) for base, exp in zip(data.rho, z))
+    log_sum = _total(exp * math.log(base) for base, exp in zip(data.rho, z))
     return abs(log_sum) < tol

@@ -444,13 +444,22 @@ def test_kms_eval_invalid_model_exit(tmp_path, capsys):
     assert "factorization" in capsys.readouterr().err
 
 
-def test_python_dash_m_runs_the_cli():
+def run_python(*argv):
     src = str(Path(ssgraph.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "ssgraph", "gen", "odometer",
-         "--n", "2"], capture_output=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_python("-W", "error", "-m", "ssgraph", "gen", "odometer",
+                      "--n", "2")
     assert proc.returncode == EXIT_OK
     assert proc.stderr == b""
     assert json.loads(proc.stdout)["schema"] == MODEL_SCHEMA
+
+
+def test_import_loads_no_numeric_library():
+    proc = run_python(
+        "-c", "import sys, ssgraph; sys.exit('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
