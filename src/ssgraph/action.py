@@ -305,6 +305,48 @@ class ActionSystem:
                 visit(self._canonical_key(self._restrict_edge_raw(key, ce)))
         return [GroupElement(key) for key in keys]
 
+    def nucleus(self) -> list[GroupElement]:
+        """The nucleus of a contracting action (Nekrashevych,
+        *Self-Similar Groups*, 2005, §2.11): the finite set every
+        element's restrictions along long enough paths fall into.
+
+        Found as a fixpoint: start from the recurrent states of the
+        closure of the generators, their inverses and the identity,
+        then add the recurrent states of closure(N.N) until nothing
+        changes.  An action that is not contracting grows without
+        bound and raises ClosureExceeded at one of the caps.
+        """
+        gens = [self.generator_element(g.name) for g in self.generators]
+        nucleus = self._recurrent(self.restriction_closure(
+            [self.identity] + gens + [self.inverse(g) for g in gens]))
+        while True:
+            products = (self.multiply(g, h) for g in nucleus for h in nucleus)
+            grown = self.restriction_closure(
+                nucleus + self._recurrent(self.restriction_closure(products)))
+            if len(grown) == len(nucleus):
+                return nucleus
+            nucleus = grown
+
+    def _recurrent(self, states: list[GroupElement]) -> list[GroupElement]:
+        """The states of a restriction-closed set that are reachable from
+        a restriction cycle: prune states without a predecessor until
+        none is left, which keeps exactly those with an infinite past."""
+        succ = {g.key: [self._canonical_key(self._restrict_edge_raw(g.key, ce))
+                        for ce in self._color_edges] for g in states}
+        preds = dict.fromkeys(succ, 0)
+        for targets in succ.values():
+            for key in targets:
+                preds[key] += 1
+        stack = [key for key, count in preds.items() if not count]
+        pruned = set(stack)
+        while stack:
+            for key in succ[stack.pop()]:
+                preds[key] -= 1
+                if not preds[key]:
+                    pruned.add(key)
+                    stack.append(key)
+        return [g for g in states if g.key not in pruned]
+
     def word_ball(self, radius: int) -> list[GroupElement]:
         """All products of at most ``radius`` generator letters."""
         out = [self.identity]

@@ -22,7 +22,11 @@ from .periodicity import periodicity_group
 from .perron import check_g_invariance, spectral_data
 
 MODEL_SCHEMA = "ssgraph/1"
-REPORT_SCHEMA = "ssgraph/report/1"
+REPORT_SCHEMA = "ssgraph/report/2"
+# the paper's hypotheses, in report order; a verdict resting on one that
+# failed or went undecided is conditional
+HYPOTHESES = ("stronglyConnected", "finiteState", "pseudoFree",
+              "locallyFaithful")
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -289,10 +293,16 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
                 summary = kms.simplex_summary(
                     system, box_radius, ball_radius, tol, data=data,
                     lattice=lattice)
+                established = {"stronglyConnected":
+                               report["stronglyConnected"], **hypotheses}
+                failed = [name for name in HYPOTHESES
+                          if established.get(name) is not True]
                 kms_section = {
                     "exists": summary.exists,
                     "rank": summary.rank,
                     "verdict": summary.verdict,
+                    "conditional": bool(failed),
+                    "failedHypotheses": failed,
                 }
         except ClosureExceeded as err:
             kms_section = {"error": str(err)}
@@ -309,6 +319,9 @@ def _lattice_doc(lattice) -> dict:
         "basis": [list(v) for v in lattice.basis],
         "boxRadius": lattice.box_radius,
         "ballRadius": lattice.ball_radius,
+        "exact": lattice.exact,
+        "method": {"vectors": lattice.vectors,
+                   "elements": lattice.elements},
     }
 
 
@@ -367,6 +380,13 @@ def _load_validated(path: str):
     return parse_model(data, validate=True)
 
 
+BOX_HELP = ("radius of the integer search box, scanned only when the "
+            "radii have no integer certificate or the kernel's basis "
+            "does not settle the lattice (default 4)")
+BALL_HELP = ("radius of the word ball used as group elements when the "
+             "nucleus search hits an action cap (default 3)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ssgraph",
@@ -391,15 +411,15 @@ def main(argv=None) -> int:
 
     p_ana = sub.add_parser("analyze", help="full analysis report")
     p_ana.add_argument("model")
-    p_ana.add_argument("--box", type=int, default=4)
-    p_ana.add_argument("--ball", type=int, default=3)
+    p_ana.add_argument("--box", type=int, default=4, help=BOX_HELP)
+    p_ana.add_argument("--ball", type=int, default=3, help=BALL_HELP)
     p_ana.add_argument("--tol", type=float, default=1e-9)
     p_ana.add_argument("--json", dest="out")
 
     p_per = sub.add_parser("per", help="periodicity lattice")
     p_per.add_argument("model")
-    p_per.add_argument("--box", type=int, default=4)
-    p_per.add_argument("--ball", type=int, default=3)
+    p_per.add_argument("--box", type=int, default=4, help=BOX_HELP)
+    p_per.add_argument("--ball", type=int, default=3, help=BALL_HELP)
     p_per.add_argument("--tol", type=float, default=1e-9)
     p_per.add_argument("--json", dest="out")
 
@@ -408,8 +428,8 @@ def main(argv=None) -> int:
     p_kms.add_argument("--trace", default="haar")
     p_kms.add_argument("--element", help="element file to evaluate")
     p_kms.add_argument("--samples", type=int, default=100)
-    p_kms.add_argument("--box", type=int, default=4)
-    p_kms.add_argument("--ball", type=int, default=3)
+    p_kms.add_argument("--box", type=int, default=4, help=BOX_HELP)
+    p_kms.add_argument("--ball", type=int, default=3, help=BALL_HELP)
     p_kms.add_argument("--tol", type=float, default=1e-9)
     p_kms.add_argument("--json", dest="out")
 

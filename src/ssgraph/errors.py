@@ -49,7 +49,9 @@ class NotInLattice(SSGraphError):
 
 
 class BoxClosureViolation(SSGraphError):
-    """Periodicity members found in the search box do not close under the group laws."""
+    """Periodicity members found do not close under the group laws: a box
+    member lacks its negative or a sum inside the box, or a tested
+    vector and its negative disagree."""
 
 
 class NotBalanced(SSGraphError):

@@ -66,6 +66,35 @@ def hnf_basis(vectors, k: int) -> tuple[Vector, ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def kernel_basis(matrix, k: int) -> tuple[Vector, ...]:
+    """Hermite basis of {z in Z^k : matrix z = 0}, exactly.
+
+    The rows (A e_j | e_j) span {(A z | z)}.  In Hermite form, a vector
+    of that lattice with zero A part combines only rows whose pivot
+    lies in the identity part, and those are the rows whose A part
+    vanishes; their identity parts are a basis of the kernel.
+    """
+    width = len(matrix)
+    rows = [tuple(row[j] for row in matrix)
+            + tuple(int(i == j) for i in range(k)) for j in range(k)]
+    return hnf_basis((row[width:] for row in hnf_basis(rows, width + k)
+                      if not any(row[:width])), k)
+
+
+def prime_exponents(m: int) -> dict[int, int]:
+    """The prime factorisation of a positive integer, prime -> exponent."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
 def lattice_coordinates(basis, z: Vector):
     """Integer coefficients expressing ``z`` over a Hermite basis, or
     None when ``z`` is outside the lattice."""

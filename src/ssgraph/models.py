@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .action import ActionCaps, ActionSystem, GeneratorTable, GroupElement
 from .errors import DomainError, NotBalanced, SpecViolation
-from .intlattice import hnf_basis
+from .intlattice import hnf_basis, prime_exponents
 from .kgraph import Edge, KGraph, Path
 
 BUILTIN_ODOMETERS = ((2, 2), (2, 3), (2, 4), (6, 2, 3))
@@ -188,19 +188,6 @@ def gamma_bijection(system: OdometerSystem, p, q) -> dict[Path, Path]:
     return out
 
 
-def _prime_exponents(m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 def expected_odometer_per(n: tuple[int, ...], box_radius: int):
     """Oracle for the odometer periodicity lattice: the integer vectors
     ``z`` in the box with ``n ** z == 1``, in Hermite basis form.
@@ -209,8 +196,8 @@ def expected_odometer_per(n: tuple[int, ...], box_radius: int):
     """
     n = tuple(n)
     k = len(n)
-    primes = sorted({p for m in n for p in _prime_exponents(m)})
-    exponents = [[_prime_exponents(m).get(p, 0) for m in n] for p in primes]
+    primes = sorted({p for m in n for p in prime_exponents(m)})
+    exponents = [[prime_exponents(m).get(p, 0) for m in n] for p in primes]
     members = []
     for z in itertools.product(range(-box_radius, box_radius + 1), repeat=k):
         if all(v == 0 for v in z):

@@ -11,9 +11,13 @@ the successor state (left tail, h|e, right tail) survives.  The triple
 is cycline exactly when its reduced state survives, and the forward
 reachable set doubles as a certificate.
 
-The periodicity group is collected over an integer search box with a
-group-ball cutoff: membership outside the ball is not excluded, so
-results are always reported relative to (box, ball).
+The periodicity group Per lies inside K = {z : rho ** z == 1}.  When
+the radii carry an integer certificate, K is computed exactly and its
+basis vectors are tested with the nucleus of the action; if they all
+pass, Per = K.  Only float radii, a nucleus search that hits a cap, or
+a kernel basis that does not pass fall back to scanning an integer
+search box with a group-ball cutoff, and only such results are
+relative to (box, ball); ``PeriodicityLattice.exact`` says which.
 """
 from __future__ import annotations
 
@@ -24,9 +28,10 @@ from typing import NamedTuple
 
 from .errors import (BoxClosureViolation, ClosureExceeded,
                      PreconditionViolated)
-from .intlattice import hnf_basis, lattice_contains
+from .intlattice import hnf_basis, lattice_contains, lattice_coordinates
 from .kgraph import Path, join_degrees, meet_degrees
-from .perron import PerronData, rho_power_is_one, spectral_data
+from .perron import (PerronData, rho_kernel_lattice, rho_power_is_one,
+                     spectral_data)
 
 DEFAULT_STATE_CAP = 250_000
 
@@ -151,17 +156,25 @@ def sigma_contains(system, p, q, g, v,
 
 @dataclass(frozen=True)
 class PeriodicityLattice:
-    """Periodicity group inside the search box, as a Hermite basis.
+    """The periodicity group as a Hermite basis.
 
-    The result is complete relative to the parameters: membership
-    witnessed only by group elements outside the ball, or by vectors
-    outside the box, is not excluded.
+    ``exact`` is True when the basis spans all of Per: the kernel K of
+    the radii was computed exactly and every vector deciding it was
+    tested.  Otherwise the basis spans the members found in the box of
+    ``box_radius``; membership witnessed only outside the box, or
+    only by elements outside the ball, is not excluded.  ``vectors``
+    names where the tested vectors came from (``kernel`` or ``box``),
+    ``elements`` the group elements tried (``nucleus``, ``ball``, or
+    None when K = {0} made a search unnecessary).
     """
 
     rank: int
     basis: tuple[tuple[int, ...], ...]
     box_radius: int
     ball_radius: int
+    exact: bool = False
+    vectors: str = "box"
+    elements: str | None = "ball"
 
     def contains(self, z) -> bool:
         return lattice_contains(self.basis, tuple(z))
@@ -177,17 +190,70 @@ def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
                       perron_data: PerronData | None = None,
                       tol: float = 1e-9,
                       state_cap: int = DEFAULT_STATE_CAP) -> PeriodicityLattice:
-    """Search the box for degree differences of cycline triples.
+    """The periodicity group, exactly whenever ``rho_int`` is set.
 
-    Candidates failing ``rho ** z == 1`` are excluded up front (exact
-    when the radii are integer-certified); each survivor is tested at
+    Per is a subgroup of the exact kernel K.  K = {0} settles it at
+    once.  Otherwise each basis vector b of K, and -b, is tested at its
+    minimal degree pair with the nucleus (the ball when the nucleus
+    search hits a cap); if all pass, Per = K.  If some fail, the box
+    scan finds a lattice L of members; when the nucleus was used and L
+    has full rank in K, one vector per nonzero coset of K/L decides the
+    rest exactly.  Float radii, and the remaining failures, report the
+    box scan relative to (box, ball).
+    """
+    data = perron_data if perron_data is not None else spectral_data(
+        system.graph)
+    if data.rho_int is None:
+        return box_scan_group(system, box_radius, ball_radius, data, tol,
+                              state_cap)
+    kernel = rho_kernel_lattice(data, box_radius)
+
+    def lattice(basis, exact, vectors, elements):
+        return PeriodicityLattice(len(basis), basis, box_radius, ball_radius,
+                                  exact, vectors, elements)
+
+    if not kernel:
+        return lattice((), True, "kernel", None)
+    try:
+        elements, source = system.nucleus(), "nucleus"
+    except ClosureExceeded:
+        elements, source = _ball(system, ball_radius), "ball"
+    members = [b for b in kernel
+               if _signed_member(system, b, elements, state_cap)]
+    if len(members) == len(kernel):
+        return lattice(kernel, True, "kernel", source)
+    found = hnf_basis(members + list(_box_scan(
+        system, data, box_radius, elements, tol, state_cap)), system.graph.k)
+    if source == "nucleus" and len(found) == len(kernel):
+        return lattice(_complete_cosets(system, kernel, found, elements,
+                                        state_cap), True, "kernel", source)
+    return lattice(found, False, "box", source)
+
+
+def box_scan_group(system, box_radius: int = 4, ball_radius: int = 3,
+                   perron_data: PerronData | None = None,
+                   tol: float = 1e-9,
+                   state_cap: int = DEFAULT_STATE_CAP) -> PeriodicityLattice:
+    """The members of the box with the ball as elements; relative to
+    (box, ball).  The path for float radii, and the tests' oracle."""
+    data = perron_data if perron_data is not None else spectral_data(
+        system.graph)
+    basis = _box_scan(system, data, box_radius, _ball(system, ball_radius),
+                      tol, state_cap)
+    return PeriodicityLattice(len(basis), basis, box_radius, ball_radius)
+
+
+def _ball(system, ball_radius):
+    return system.restriction_closure(system.word_ball(ball_radius))
+
+
+def _box_scan(system, data, box_radius, elements, tol, state_cap):
+    """Hermite basis of the box vectors that pass ``rho ** z == 1`` and
+    have a cycline triple over ``elements``.  Each survivor is tested at
     its minimal degree pair z+ = z v 0, z- = (-z) v 0, which suffices
     because membership propagates to every degree pair with the same
-    difference.
-    """
+    difference."""
     graph = system.graph
-    data = perron_data if perron_data is not None else spectral_data(graph)
-    ball = system.restriction_closure(system.word_ball(ball_radius))
     members = []
     for z in itertools.product(range(-box_radius, box_radius + 1),
                                repeat=graph.k):
@@ -195,11 +261,11 @@ def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
             continue
         if not rho_power_is_one(data, z, tol):
             continue
-        if _per_member(system, z, ball, state_cap):
+        if _per_member(system, z, elements, state_cap):
             members.append(z)
     member_set = set(members)
     for z in members:
-        if tuple(-v for v in z) not in member_set:
+        if _negate(z) not in member_set:
             raise BoxClosureViolation(f"member {z} has no negative in the box")
     for z1 in members:
         for z2 in members:
@@ -208,16 +274,49 @@ def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
                     and total not in member_set:
                 raise BoxClosureViolation(
                     f"members {z1} + {z2} = {total} missing inside the box")
-    basis = hnf_basis(members, graph.k)
-    return PeriodicityLattice(len(basis), basis, box_radius, ball_radius)
+    return hnf_basis(members, graph.k)
 
 
-def _per_member(system, z, ball, state_cap) -> bool:
+def _complete_cosets(system, kernel, found, elements, state_cap):
+    """Per, given that ``found`` spans a full-rank sublattice L of K.
+
+    Per is a group containing L, so a coset of K/L meets Per exactly
+    when its representative is a member.  With the coordinates of L
+    over K's basis in Hermite form, pivots d_i, the vectors
+    sum c_i b_i with 0 <= c_i < d_i represent every coset once.
+    """
+    coords = hnf_basis((lattice_coordinates(kernel, v) for v in found),
+                       len(kernel))
+    pivots = [row[i] for i, row in enumerate(coords)]
+    members = list(found)
+    for c in itertools.product(*(range(d) for d in pivots)):
+        z = tuple(sum(ci * b[j] for ci, b in zip(c, kernel))
+                  for j in range(system.graph.k))
+        if any(c) and not lattice_contains(hnf_basis(members, len(z)), z) \
+                and _signed_member(system, z, elements, state_cap):
+            members.append(z)
+    return hnf_basis(members, system.graph.k)
+
+
+def _negate(z):
+    return tuple(-v for v in z)
+
+
+def _signed_member(system, z, elements, state_cap) -> bool:
+    """Membership of z, checked against that of -z: Per is a group."""
+    member = _per_member(system, z, elements, state_cap)
+    if member != _per_member(system, _negate(z), elements, state_cap):
+        raise BoxClosureViolation(
+            f"{z} and its negative disagree on membership")
+    return member
+
+
+def _per_member(system, z, elements, state_cap) -> bool:
     graph = system.graph
     p = tuple(max(v, 0) for v in z)
     q = tuple(max(-v, 0) for v in z)
     for mu in graph.paths_of_degree(p):
-        for g in ball:
+        for g in elements:
             nu = cycline_partner(system, mu, g, q)
             if nu is None:
                 continue
@@ -230,9 +329,10 @@ def is_g_aperiodic(system, box_radius: int = 4, ball_radius: int = 3,
                    perron_data: PerronData | None = None,
                    tol: float = 1e-9,
                    state_cap: int = DEFAULT_STATE_CAP) -> AperiodicityVerdict:
-    """Aperiodicity verdict relative to the search parameters: a trivial
-    lattice means no periodicity was found within (box, ball); a
-    nontrivial one refutes aperiodicity outright."""
+    """Aperiodicity verdict: the action is G-aperiodic when Per = {0}.
+    A nontrivial lattice refutes aperiodicity outright; a trivial one
+    settles it when ``lattice.exact``, and otherwise only says that no
+    periodicity was found within (box, ball)."""
     lattice = periodicity_group(system, box_radius, ball_radius,
                                 perron_data, tol, state_cap)
     return AperiodicityVerdict(lattice.rank == 0, lattice)

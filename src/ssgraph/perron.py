@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoConvergence, NotStronglyConnected
-from .intlattice import hnf_basis
+from .intlattice import hnf_basis, kernel_basis, prime_exponents
 from .kgraph import KGraph
 
 INTEGER_TOL = 1e-9
@@ -119,9 +119,18 @@ def check_g_invariance(data: PerronData, system, tol: float = 1e-9) -> bool:
 
 def rho_kernel_lattice(data: PerronData, box_radius: int,
                        tol: float = 1e-9):
-    """Hermite basis for the box vectors with ``rho ** z == 1``; exact
-    integer arithmetic once every radius is integer-certified."""
+    """Hermite basis of the kernel K = {z : rho ** z == 1}.
+
+    With integer-certified radii, K is the kernel of the matrix of
+    their prime exponents, computed exactly and without ``box_radius``;
+    otherwise it is spanned by the box vectors that pass the float
+    test."""
     k = len(data.rho)
+    if data.rho_int is not None:
+        factors = [prime_exponents(r) for r in data.rho_int]
+        primes = sorted({p for f in factors for p in f})
+        return kernel_basis([[f.get(p, 0) for f in factors] for p in primes],
+                            k)
     members = []
     for z in itertools.product(range(-box_radius, box_radius + 1), repeat=k):
         if all(v == 0 for v in z):

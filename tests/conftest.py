@@ -1,8 +1,21 @@
+from pathlib import Path
+
 import pytest
 
 from ssgraph.action import ActionCaps, ActionSystem, GeneratorTable
+from ssgraph.cli import parse_model
 from ssgraph.kgraph import Edge, KGraph
 from ssgraph.models import build_katsura, build_odometer
+
+MODELS = Path(__file__).resolve().parent.parent / "bench" / "models"
+BENCH_MODELS = ("grigorchuk", "basilica", "adding_machine")
+
+
+def bench_model(name, caps=None):
+    """A fresh system on the tables of a stress model in bench/models."""
+    _, system = parse_model((MODELS / f"{name}.json").read_text(),
+                            validate=False)
+    return ActionSystem(system.graph, system.generators, caps)
 
 
 @pytest.fixture(scope="session")
@@ -112,6 +125,17 @@ def locally_blind_system():
         {(0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 4, (0, 4): 3},
         {(0, 0): (1,), (0, 1): (), (0, 2): (), (0, 3): (), (0, 4): ()})
     return ActionSystem(graph, (table,))
+
+
+@pytest.fixture(scope="session")
+def flip_square_system():
+    """The trivial group on the 1-vertex 2-graph with two loops per
+    colour and squares (s, t) -> (t, s).  Its radii are (2, 2), so the
+    kernel is Z(1, -1), but (1, -1) has no cycline triple: the kernel
+    path cannot settle the lattice and the box scan runs."""
+    edges = [[Edge(i, color, 0, 0) for i in range(2)] for color in range(2)]
+    squares = {(0, 1): {(s, t): (t, s) for s in range(2) for t in range(2)}}
+    return ActionSystem(KGraph(2, 1, edges, squares), ())
 
 
 @pytest.fixture()

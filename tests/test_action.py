@@ -1,21 +1,19 @@
 import functools
 import random
 from collections import deque
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssgraph.action import ActionCaps, ActionSystem, check_locally_faithful, \
     check_pseudo_free, validate_action
-from ssgraph.cli import parse_model
 from ssgraph.errors import ClosureExceeded, PreconditionViolated
 from ssgraph.kgraph import add_degrees
 from ssgraph.models import BUILTIN_KATSURA, BUILTIN_ODOMETERS, \
     KatsuraSystem, build_katsura, build_odometer, degree_weight, \
     odometer_path, odometer_value
 
-MODELS = Path(__file__).resolve().parent.parent / "bench" / "models"
+from tests.conftest import bench_model
 
 
 def closure_of(system):
@@ -115,12 +113,6 @@ def bisimilar(system, a, b):
             queue.append((system._restrict_edge_raw(pa, ce),
                           system._restrict_edge_raw(pb, ce)))
     return True
-
-
-def bench_model(name, caps=None):
-    _, system = parse_model((MODELS / f"{name}.json").read_text(),
-                            validate=False)
-    return ActionSystem(system.graph, system.generators, caps)
 
 
 @functools.cache

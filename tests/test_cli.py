@@ -13,7 +13,7 @@ from ssgraph.cli import EXIT_CAPPED, EXIT_INVALID, EXIT_OK, MODEL_SCHEMA, \
     run_analysis
 from ssgraph.errors import ParseError, ValidationError
 
-from tests.conftest import make_loops_graph
+from tests.conftest import bench_model, make_loops_graph
 
 
 def gen_file(tmp_path, name, *argv):
@@ -225,6 +225,8 @@ def test_analyze_odometer_23(tmp_path):
     assert report["periodicity"]["rank"] == 0
     assert report["periodicity"]["basis"] == []
     assert report["kms"]["verdict"] == "unique KMS state"
+    assert not report["kms"]["conditional"]
+    assert report["kms"]["failedHypotheses"] == []
     assert not report["capped"]
 
 
@@ -302,6 +304,32 @@ def test_analyze_reports_hypothesis_witnesses(partial_fix_system,
     assert hyp["locallyFaithfulWitness"] == "element s at vertex 0"
 
 
+def test_verdicts_name_failed_hypotheses(partial_fix_system,
+                                        locally_blind_system):
+    for system, failed in ((partial_fix_system, ["pseudoFree"]),
+                           (bench_model("grigorchuk"), ["pseudoFree"]),
+                           (bench_model("basilica"), ["pseudoFree"]),
+                           (locally_blind_system,
+                            ["pseudoFree", "locallyFaithful"])):
+        kms_section = run_analysis(system.graph, system)["kms"]
+        assert kms_section["conditional"]
+        assert kms_section["failedHypotheses"] == failed
+
+
+def test_undecided_hypotheses_make_the_verdict_conditional(
+        capped_odometer_tables):
+    # the closure {0, +1} overflows the cap, while rho = 2 gives K = {0}
+    # and so a lattice without any group search
+    report = run_analysis(capped_odometer_tables.graph,
+                          capped_odometer_tables)
+    assert "cap 1" in report["hypotheses"]["error"]
+    assert report["periodicity"]["exact"]
+    assert report["kms"]["verdict"] == "unique KMS state"
+    assert report["kms"]["conditional"]
+    assert report["kms"]["failedHypotheses"] == [
+        "finiteState", "pseudoFree", "locallyFaithful"]
+
+
 def test_analyze_keeps_detail_of_trivial_generator(trivial_extension_system):
     hyp = run_analysis(trivial_extension_system.graph,
                        trivial_extension_system)["hypotheses"]
@@ -376,7 +404,9 @@ def test_per_reports_lattice(tmp_path, capsys):
     model = gen_file(tmp_path, "odo23.json", "gen", "odometer", "--n", "2,3")
     assert main(["per", str(model)]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc == {"rank": 0, "basis": [], "boxRadius": 4, "ballRadius": 3}
+    assert doc == {"rank": 0, "basis": [], "boxRadius": 4, "ballRadius": 3,
+                   "exact": True,
+                   "method": {"vectors": "kernel", "elements": None}}
 
 
 def test_kms_eval_character_trace(tmp_path):

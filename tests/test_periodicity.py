@@ -1,15 +1,27 @@
 import itertools
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
-from ssgraph.errors import ClosureExceeded, PreconditionViolated
-from ssgraph.intlattice import lattice_contains
-from ssgraph.models import expected_odometer_per, gamma_bijection, \
+import ssgraph.periodicity
+import ssgraph.perron
+from ssgraph.action import ActionCaps, ActionSystem, validate_action
+from ssgraph.algebra import periodicity_unitary
+from ssgraph.errors import BoxClosureViolation, ClosureExceeded, \
+    PreconditionViolated
+from ssgraph.intlattice import hnf_basis, lattice_contains
+from ssgraph.kgraph import validate_kgraph
+from ssgraph.models import BUILTIN_KATSURA, BUILTIN_ODOMETERS, \
+    build_katsura, build_odometer, expected_odometer_per, gamma_bijection, \
     odometer_path
-from ssgraph.periodicity import cycline_partner, cycline_triples, \
-    is_cycline, is_g_aperiodic, periodicity_group, sigma_contains
+from ssgraph.periodicity import box_scan_group, cycline_partner, \
+    cycline_triples, is_cycline, is_g_aperiodic, periodicity_group, \
+    sigma_contains
 from ssgraph.perron import rho_kernel_lattice, spectral_data
+
+from tests.conftest import BENCH_MODELS, bench_model
 
 
 def brute_force_cycline(system, mu, g, nu, depth=3):
@@ -196,3 +208,168 @@ def test_box_scan_skips_non_kernel_vectors(odo23):
     for z in itertools.product(range(-4, 5), repeat=2):
         if z != (0, 0):
             assert not lattice.contains(z)
+
+
+# -- the exact periodicity group -----------------------------------------
+
+@pytest.mark.parametrize("build, size", [
+    (lambda: build_odometer((2, 2)), 3),
+    (lambda: build_odometer((2, 3)), 3),
+    (lambda: build_odometer((6, 2, 3)), 3),
+    (lambda: build_odometer((2, 2, 2)), 3),
+    (lambda: build_katsura([[2]], [[1]]), 3),
+    (lambda: build_katsura([[3]], [[2]]), 5),
+    (lambda: bench_model("grigorchuk"), 5),
+    (lambda: bench_model("basilica"), 7),
+    (lambda: bench_model("adding_machine"), 3),
+], ids=["odometer22", "odometer23", "odometer623", "odometer222",
+        "katsura21", "katsura32", "grigorchuk", "basilica", "adding_machine"])
+def test_nucleus_sizes(build, size):
+    system = build()
+    nucleus = system.nucleus()
+    assert len(nucleus) == size
+    assert nucleus[0] == system.identity
+    # restriction-closed, so every long restriction stays inside
+    assert len(system.restriction_closure(nucleus)) == size
+
+
+def test_nucleus_of_non_contracting_katsura_pair_hits_a_cap():
+    # every (+1)^m lies on a restriction cycle through T = B = 1
+    system = build_katsura([[2, 1], [1, 2]], [[1, 1], [1, 1]])
+    start = time.perf_counter()
+    with pytest.raises(ClosureExceeded):
+        system.nucleus()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_kernel_path_runs_no_box_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("box scan ran")
+
+    for module in (ssgraph.perron, ssgraph.periodicity):
+        monkeypatch.setattr(module, "rho_power_is_one", refuse)
+    lattice = periodicity_group(build_odometer((6, 2, 3)), box_radius=50)
+    assert lattice.basis == ((1, -1, -1),)
+    assert lattice.exact
+    assert (lattice.vectors, lattice.elements) == ("kernel", "nucleus")
+
+
+def test_trivial_kernel_needs_no_group_search(kat21):
+    lattice = periodicity_group(kat21)
+    assert (lattice.basis, lattice.exact) == ((), True)
+    assert (lattice.vectors, lattice.elements) == ("kernel", None)
+
+
+def test_kernel_basis_failing_falls_back_to_the_box(flip_square_system):
+    system = flip_square_system
+    assert validate_kgraph(system.graph).ok
+    assert validate_action(system).ok
+    data = spectral_data(system.graph)
+    assert data.rho_int == (2, 2)
+    assert rho_kernel_lattice(data, 0) == ((1, -1),)
+    lattice = periodicity_group(system, perron_data=data)
+    assert lattice.basis == ()
+    assert not lattice.exact
+    assert lattice.vectors == "box"
+
+
+def test_nucleus_cap_falls_back_to_the_ball(word_odometer22):
+    # the nucleus products {0, +-1, +-2} overflow a cap of four
+    capped = ActionSystem(word_odometer22.graph, word_odometer22.generators,
+                          caps=ActionCaps(max_closure=4))
+    with pytest.raises(ClosureExceeded):
+        capped.nucleus()
+    lattice = periodicity_group(capped, ball_radius=1)
+    assert lattice.basis == ((1, -1),)
+    assert lattice.exact
+    assert (lattice.vectors, lattice.elements) == ("kernel", "ball")
+
+
+def _oracle_cases():
+    cases = [(f"odometer {n}", lambda n=n: build_odometer(n),
+              3 if n == (6, 2, 3) else 4)
+             for n in BUILTIN_ODOMETERS + ((2, 2, 2), (4, 2), (2,))]
+    cases += [(f"katsura {t}/{b}", lambda t=t, b=b: build_katsura(t, b), 4)
+              for t, b in BUILTIN_KATSURA + (([[2, 1], [1, 2]],
+                                              [[1, 1], [1, 1]]),)]
+    cases += [(name, lambda name=name: bench_model(name), 4)
+              for name in BENCH_MODELS]
+    return cases
+
+
+@pytest.mark.parametrize("name, build, box", _oracle_cases(),
+                         ids=[case[0] for case in _oracle_cases()])
+def test_exact_lattice_matches_box_and_ball_oracle(name, build, box):
+    lattice = periodicity_group(build(), box_radius=box, ball_radius=3)
+    oracle = box_scan_group(build(), box_radius=box, ball_radius=3)
+    assert lattice.basis == oracle.basis
+    assert lattice.exact
+
+
+@pytest.mark.parametrize("fixture", [
+    "odo22", "odo23", "odo24", "kat21", "kat32", "swap_system",
+    "trivial_lonely_system", "trivial_extension_system",
+    "partial_fix_system", "self_restrict_system", "locally_blind_system",
+    "word_odometer22", "flip_square_system"])
+def test_fixture_lattice_matches_box_and_ball_oracle(request, fixture):
+    system = request.getfixturevalue(fixture)
+    assert periodicity_group(system).basis == box_scan_group(system).basis
+
+
+def test_accepted_kernel_vectors_have_complete_fibers():
+    # _per_member needs one cycline triple per vector, a periodicity
+    # unitary needs one for every path of the fiber
+    for n in BUILTIN_ODOMETERS + ((2, 2, 2),):
+        system = build_odometer(n)
+        lattice = periodicity_group(system)
+        assert lattice.exact and lattice.vectors == "kernel"
+        for z in lattice.basis:
+            p = tuple(max(v, 0) for v in z)
+            q = tuple(max(-v, 0) for v in z)
+            periodicity_unitary(system, p, q, elements=system.nucleus())
+
+
+def _member_of(basis):
+    """A stand-in for the cycline search: z is a member exactly when it
+    lies in the lattice spanned by ``basis``."""
+    def member(system, z, elements, state_cap):
+        return lattice_contains(hnf_basis(basis, len(z)), tuple(z))
+    return member
+
+
+def test_cosets_complete_a_full_rank_sublattice(monkeypatch):
+    # Per = <(1,1), (0,2)> has index 2 in K = Z^2; L = 2Z^2 misses the
+    # coset of (1,1), which one representative test adds
+    monkeypatch.setattr(ssgraph.periodicity, "_per_member",
+                        _member_of([(1, 1), (0, 2)]))
+    system = SimpleNamespace(graph=SimpleNamespace(k=2))
+    per = ssgraph.periodicity._complete_cosets(
+        system, ((1, 0), (0, 1)), ((2, 0), (0, 2)), [], 0)
+    assert per == ((1, 1), (0, 2))
+
+
+@pytest.mark.parametrize("box, basis, exact", [
+    # the box holds a full-rank part of Per: the cosets make it exact
+    (2, ((1, 1, -2), (0, 2, -2)), True),
+    # only (1, -1, 0) fits: rank 1 < rank K, so the box result stands
+    (1, ((1, -1, 0),), False),
+])
+def test_failing_kernel_basis_with_the_nucleus(monkeypatch, box, basis,
+                                               exact):
+    # on (2,2,2), K = <(1,0,-1), (0,1,-1)>; pretend Per is the index-2
+    # sublattice where the first two coordinates have an even sum
+    monkeypatch.setattr(ssgraph.periodicity, "_per_member",
+                        _member_of([(1, 1, -2), (2, 0, -2)]))
+    lattice = periodicity_group(build_odometer((2, 2, 2)), box_radius=box)
+    assert lattice.basis == basis
+    assert lattice.exact is exact
+    assert (lattice.vectors, lattice.elements) == (
+        "kernel" if exact else "box", "nucleus")
+
+
+def test_kernel_vector_without_its_negative_is_a_closure_violation(
+        monkeypatch):
+    monkeypatch.setattr(ssgraph.periodicity, "_per_member",
+                        lambda system, z, elements, state_cap: z[0] > 0)
+    with pytest.raises(BoxClosureViolation):
+        periodicity_group(build_odometer((2, 2)))
