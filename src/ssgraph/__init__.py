@@ -3,8 +3,8 @@ path spaces, hypothesis checks, periodicity lattices, the associated
 monomial algebra, and KMS equilibrium states."""
 
 from .action import ActionCaps, ActionSystem, GeneratorTable, \
-    GroupElement, HypothesisVerdict, check_locally_faithful, \
-    check_pseudo_free, validate_action
+    GroupElement, HypothesisVerdict, check_degenerate_property, \
+    check_locally_faithful, check_pseudo_free, validate_action
 from .algebra import AlgebraElement, Monomial, adjoint, element, \
     element_from_json, element_to_json, elements_equal, expectation, \
     generator_unitary, identity_element, monomial, multiply, \
@@ -21,9 +21,8 @@ from .kms import KmsState, SimplexSummary, TraceSpec, character_trace, \
     evaluate, haar_trace, make_kms_state, mixture_trace, \
     restrict_to_diagonal, simplex_summary, trace_value, verify_kms
 from .models import BUILTIN_KATSURA, BUILTIN_ODOMETERS, KatsuraSystem, \
-    OdometerSystem, build_katsura, build_odometer, \
-    check_degenerate_property, expected_odometer_per, gamma_bijection, \
-    odometer_commute, odometer_path, odometer_value
+    OdometerSystem, build_katsura, build_odometer, expected_odometer_per, \
+    gamma_bijection, odometer_commute, odometer_path, odometer_value
 from .periodicity import AperiodicityVerdict, CyclineCertificate, \
     PeriodicityLattice, cycline_partner, cycline_triples, is_cycline, \
     is_g_aperiodic, periodicity_group, sigma_contains

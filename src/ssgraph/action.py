@@ -15,12 +15,17 @@ Two words share a signature exactly when they act identically on every
 path, so elements are equal as automorphisms of the path space: the
 engine works in the faithful quotient of the group the tables present,
 which is the group itself when that group acts faithfully.
+
+The closure, the nucleus and the hypothesis checks read one automaton:
+the restriction closure of some states, each with its restriction
+along every edge.  The pseudo-free, locally faithful and degenerate
+checks are three searches of its (state, vertex) restriction graph.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ClosureExceeded, PreconditionViolated, ValidationReport
 from .kgraph import Edge, KGraph, Path
@@ -283,27 +288,44 @@ class ActionSystem:
 
     # -- closures -------------------------------------------------------
 
-    def restriction_closure(self, seeds: Sequence[GroupElement],
-                            cap: int | None = None) -> list[GroupElement]:
-        """Smallest set containing the seeds closed under edge restriction."""
+    def _automaton(self, seeds: Iterable[GroupElement], cap: int | None = None
+                   ) -> dict[Word, dict[ColorEdge, Word]]:
+        """The closure of the seeds under edge restriction, as an
+        automaton: each state, in breadth-first order from the seeds,
+        with its canonical restriction along every color-edge."""
         cap = cap or self.caps.max_closure
+        rows: dict[Word, dict[ColorEdge, Word]] = {}
         keys: list[Word] = []
-        seen: set[Word] = set()
 
         def visit(key):
-            if key not in seen:
-                if len(seen) >= cap:
+            if key not in rows:
+                if len(rows) >= cap:
                     raise ClosureExceeded(
                         f"restriction closure exceeds cap {cap}")
-                seen.add(key)
+                rows[key] = {}
                 keys.append(key)
+            return key
 
         for g in seeds:
             visit(g.key)
         for key in keys:  # breadth-first: ``keys`` grows while walked
+            row = rows[key]
             for ce in self._color_edges:
-                visit(self._canonical_key(self._restrict_edge_raw(key, ce)))
-        return [GroupElement(key) for key in keys]
+                row[ce] = visit(self._canonical_key(
+                    self._restrict_edge_raw(key, ce)))
+        return rows
+
+    def restriction_closure(self, seeds: Sequence[GroupElement],
+                            cap: int | None = None) -> list[GroupElement]:
+        """Smallest set containing the seeds closed under edge restriction."""
+        return [GroupElement(key) for key in self._automaton(seeds, cap)]
+
+    def generator_closure(self) -> list[GroupElement]:
+        """The restriction closure of the identity and the generators:
+        the states the paper's finite-state hypothesis bounds."""
+        return self.restriction_closure(
+            [self.identity]
+            + [self.generator_element(g.name) for g in self.generators])
 
     def nucleus(self) -> list[GroupElement]:
         """The nucleus of a contracting action (Nekrashevych,
@@ -317,35 +339,35 @@ class ActionSystem:
         bound and raises ClosureExceeded at one of the caps.
         """
         gens = [self.generator_element(g.name) for g in self.generators]
-        nucleus = self._recurrent(self.restriction_closure(
+        nucleus = self._recurrent(self._automaton(
             [self.identity] + gens + [self.inverse(g) for g in gens]))
         while True:
             products = (self.multiply(g, h) for g in nucleus for h in nucleus)
-            grown = self.restriction_closure(
-                nucleus + self._recurrent(self.restriction_closure(products)))
+            # recurrent states restrict to recurrent ones: the union is closed
+            grown = list(dict.fromkeys(
+                nucleus + self._recurrent(self._automaton(products))))
             if len(grown) == len(nucleus):
                 return nucleus
             nucleus = grown
 
-    def _recurrent(self, states: list[GroupElement]) -> list[GroupElement]:
-        """The states of a restriction-closed set that are reachable from
-        a restriction cycle: prune states without a predecessor until
+    def _recurrent(self, rows: dict[Word, dict[ColorEdge, Word]]
+                   ) -> list[GroupElement]:
+        """The states of an automaton that are reachable from a
+        restriction cycle: prune states without a predecessor until
         none is left, which keeps exactly those with an infinite past."""
-        succ = {g.key: [self._canonical_key(self._restrict_edge_raw(g.key, ce))
-                        for ce in self._color_edges] for g in states}
-        preds = dict.fromkeys(succ, 0)
-        for targets in succ.values():
-            for key in targets:
+        preds = dict.fromkeys(rows, 0)
+        for row in rows.values():
+            for key in row.values():
                 preds[key] += 1
         stack = [key for key, count in preds.items() if not count]
         pruned = set(stack)
         while stack:
-            for key in succ[stack.pop()]:
+            for key in rows[stack.pop()].values():
                 preds[key] -= 1
                 if not preds[key]:
                     pruned.add(key)
                     stack.append(key)
-        return [g for g in states if g.key not in pruned]
+        return [GroupElement(key) for key in rows if key not in pruned]
 
     def word_ball(self, radius: int) -> list[GroupElement]:
         """All products of at most ``radius`` generator letters."""
@@ -397,11 +419,43 @@ def _trivial_generator(sys: ActionSystem) -> str | None:
     return None
 
 
+def _restriction_graph(sys: ActionSystem, states: Sequence[GroupElement]):
+    """The (state, vertex) restriction graph of the closure of
+    ``states``: the arcs of each node (g, v), state by state from
+    ``states`` on.  Node (g, v) has one arc ``(e, fixed, (g|e, s(e)))``
+    per edge e with range v, by color and then id; ``fixed`` says
+    whether g fixes e."""
+    graph = sys.graph
+    return {(key, v): [(e, sys._act_edge_raw(key, (color, e.id)) == e.id,
+                        (row[(color, e.id)], e.source))
+                       for color in range(graph.k)
+                       for e in graph.edges_from(v, color)]
+            for key, row in sys._automaton(states).items()
+            for v in range(graph.num_vertices)}
+
+
+def _reaching(arcs, targets) -> set:
+    """The nodes with an arc path to one of ``targets``, these included."""
+    preds: dict = {}
+    for node, out in arcs.items():
+        for _, _, target in out:
+            preds.setdefault(target, []).append(node)
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for node in preds.get(stack.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
+
+
 def check_pseudo_free(sys: ActionSystem,
                       states: Sequence[GroupElement]) -> HypothesisVerdict:
-    """Search the fixing graph of the given restriction-closed states
-    for a non-identity element whose restriction along a fixed path is
-    the identity.  The verdict is relative to the supplied states."""
+    """Search the closure of the given states for a non-identity
+    element whose restriction along a fixed path is the identity:
+    breadth-first along fixed arcs, from each state's nodes in turn.
+    The verdict is relative to that closure."""
     trivial = _trivial_generator(sys)
     if trivial is not None:
         e = sys.graph.edges[0][0]
@@ -409,46 +463,31 @@ def check_pseudo_free(sys: ActionSystem,
             False, trivial, (e,),
             detail=f"generator {trivial!r} acts as the identity")
     id_key = sys.identity.key
-    graph = sys.graph
-    for g in states:
-        g_key = g.key
+    arcs = _restriction_graph(sys, states)
+    for g_key in dict.fromkeys(key for key, _ in arcs):
         if g_key == id_key:
             continue
-        # nodes (element, vertex) so witness edges concatenate to a path
-        parents: dict = {}
-        queue = deque()
-        for v in range(graph.num_vertices):
-            node = (g_key, v)
-            parents[node] = None
-            queue.append(node)
+        # the fixed path to each node found, so witnesses are paths
+        paths = {(g_key, v): () for v in range(sys.graph.num_vertices)}
+        queue = deque(paths)
         while queue:
-            key, v = queue.popleft()
-            for color in range(graph.k):
-                for e in graph.edges_from(v, color):
-                    if sys._act_edge_raw(key, (color, e.id)) != e.id:
-                        continue
-                    res = sys._canonical_key(
-                        sys._restrict_edge_raw(key, (color, e.id)))
-                    node = (res, e.source)
-                    if res == id_key:
-                        path = [e]
-                        back = (key, v)
-                        while parents[back] is not None:
-                            edge, back = parents[back]
-                            path.append(edge)
-                        path.reverse()
-                        return HypothesisVerdict(
-                            False, sys.key_str(g_key), tuple(path))
-                    if node not in parents:
-                        parents[node] = (e, (key, v))
-                        queue.append(node)
+            node = queue.popleft()
+            for e, fixed, target in arcs[node]:
+                if fixed and target[0] == id_key:
+                    return HypothesisVerdict(False, sys.key_str(g_key),
+                                             paths[node] + (e,))
+                if fixed and target not in paths:
+                    paths[target] = paths[node] + (e,)
+                    queue.append(target)
     return HypothesisVerdict(True)
 
 
 def check_locally_faithful(sys: ActionSystem,
                            states: Sequence[GroupElement]) -> HypothesisVerdict:
-    """Greatest-fixpoint search for a non-identity state fixing every
-    path out of some vertex.  ``states`` must be restriction-closed.
+    """Greatest-fixpoint search, over the closure of the given states,
+    for a non-identity state fixing every path out of some vertex: a
+    node survives when no arc path leads from it to an edge its state
+    moves.
 
     Elements are compared as the engine compares them, as automorphisms
     of the path space, so "non-identity" means acting nontrivially on
@@ -460,37 +499,23 @@ def check_locally_faithful(sys: ActionSystem,
         return HypothesisVerdict(
             False, trivial, witness_vertex=0,
             detail=f"generator {trivial!r} acts as the identity")
-    id_key = sys.identity.key
-    graph = sys.graph
-    keys = list(dict.fromkeys(g.key for g in states))
-    alive = {(key, v) for key in keys for v in range(graph.num_vertices)}
-    changed = True
-    while changed:
-        changed = False
-        for node in list(alive):
-            key, v = node
-            for color in range(graph.k):
-                for e in graph.edges_from(v, color):
-                    if sys._act_edge_raw(key, (color, e.id)) != e.id:
-                        alive.discard(node)
-                        changed = True
-                        break
-                    res = sys._canonical_key(
-                        sys._restrict_edge_raw(key, (color, e.id)))
-                    if (res, e.source) not in alive:
-                        alive.discard(node)
-                        changed = True
-                        break
-                if node not in alive:
-                    break
-    for key in keys:
-        if key == id_key:
-            continue
-        for v in range(graph.num_vertices):
-            if (key, v) in alive:
-                return HypothesisVerdict(False, sys.key_str(key),
-                                         witness_vertex=v)
+    arcs = _restriction_graph(sys, states)
+    dead = _reaching(arcs, [node for node, out in arcs.items()
+                            if not all(fixed for _, fixed, _ in out)])
+    for key, v in arcs:
+        if key != sys.identity.key and (key, v) not in dead:
+            return HypothesisVerdict(False, sys.key_str(key), witness_vertex=v)
     return HypothesisVerdict(True)
+
+
+def check_degenerate_property(sys: ActionSystem) -> bool:
+    """Whether every state of the generators' closure restricts to the
+    identity along some path out of every vertex: whether every node
+    of the restriction graph reaches an identity node.  Bounded only
+    by the closure's cap."""
+    arcs = _restriction_graph(sys, sys.generator_closure())
+    identity = [(sys.identity.key, v) for v in range(sys.graph.num_vertices)]
+    return _reaching(arcs, identity).issuperset(arcs)
 
 
 def validate_action(sys: ActionSystem) -> ValidationReport:

@@ -12,12 +12,13 @@ import json
 import sys
 
 from . import algebra, kms
-from .action import ActionSystem, GeneratorTable, check_locally_faithful, \
-    check_pseudo_free, validate_action
+from .action import ActionSystem, GeneratorTable, \
+    check_degenerate_property, check_locally_faithful, check_pseudo_free, \
+    validate_action
 from .errors import ClosureExceeded, NoConvergence, NotStronglyConnected, \
     ParseError, ValidationError, ValidationReport, need_field
 from .kgraph import Edge, KGraph, validate_kgraph
-from .models import build_katsura, build_odometer, check_degenerate_property
+from .models import build_katsura, build_odometer
 from .periodicity import periodicity_group
 from .perron import check_g_invariance, spectral_data
 
@@ -239,9 +240,7 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
 
     hypotheses: dict = {}
     try:
-        closure = system.restriction_closure(
-            [system.identity]
-            + [system.generator_element(g.name) for g in system.generators])
+        closure = system.generator_closure()
         hypotheses["closureSize"] = len(closure)
         hypotheses["finiteState"] = True
         pf = check_pseudo_free(system, closure)
@@ -252,8 +251,7 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
             hypotheses["pseudoFreeWitness"] = _witness_text(pf)
         if not lf.ok:
             hypotheses["locallyFaithfulWitness"] = _witness_text(lf)
-        degenerate = check_degenerate_property(system)
-        hypotheses["degenerate"] = degenerate
+        hypotheses["degenerate"] = check_degenerate_property(system)
     except ClosureExceeded as err:
         hypotheses["error"] = str(err)
         capped = True
@@ -297,13 +295,9 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
                                report["stronglyConnected"], **hypotheses}
                 failed = [name for name in HYPOTHESES
                           if established.get(name) is not True]
-                kms_section = {
-                    "exists": summary.exists,
-                    "rank": summary.rank,
-                    "verdict": summary.verdict,
-                    "conditional": bool(failed),
-                    "failedHypotheses": failed,
-                }
+                kms_section = {**_summary_doc(summary),
+                               "conditional": bool(failed),
+                               "failedHypotheses": failed}
         except ClosureExceeded as err:
             kms_section = {"error": str(err)}
             capped = True
@@ -311,6 +305,11 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
     report["kms"] = kms_section
     report["capped"] = capped
     return report
+
+
+def _summary_doc(summary) -> dict:
+    return {"exists": summary.exists, "rank": summary.rank,
+            "verdict": summary.verdict}
 
 
 def _lattice_doc(lattice) -> dict:
@@ -392,46 +391,41 @@ def main(argv=None) -> int:
         prog="ssgraph",
         description="self-similar higher-rank graph analysis")
     sub = parser.add_subparsers(dest="verb", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", dest="out")
+    search = argparse.ArgumentParser(add_help=False, parents=[output])
+    search.add_argument("--box", type=int, default=4, help=BOX_HELP)
+    search.add_argument("--ball", type=int, default=3, help=BALL_HELP)
+    search.add_argument("--tol", type=float, default=1e-9)
 
     p_gen = sub.add_parser("gen", help="emit a built-in model file")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
-    p_odo = gen_sub.add_parser("odometer")
+    p_odo = gen_sub.add_parser("odometer", parents=[output])
     p_odo.add_argument("--n", required=True,
                        help="comma-separated sizes, e.g. 2,3")
-    p_odo.add_argument("--json", dest="out")
-    p_kat = gen_sub.add_parser("katsura")
+    p_kat = gen_sub.add_parser("katsura", parents=[output])
     p_kat.add_argument("--t", required=True,
                        help="rows split by ';', entries by ','")
     p_kat.add_argument("--b", required=True)
-    p_kat.add_argument("--json", dest="out")
 
-    p_val = sub.add_parser("validate", help="check a model file")
+    p_val = sub.add_parser("validate", help="check a model file",
+                           parents=[output])
     p_val.add_argument("model")
-    p_val.add_argument("--json", dest="out")
 
-    p_ana = sub.add_parser("analyze", help="full analysis report")
+    p_ana = sub.add_parser("analyze", help="full analysis report",
+                           parents=[search])
     p_ana.add_argument("model")
-    p_ana.add_argument("--box", type=int, default=4, help=BOX_HELP)
-    p_ana.add_argument("--ball", type=int, default=3, help=BALL_HELP)
-    p_ana.add_argument("--tol", type=float, default=1e-9)
-    p_ana.add_argument("--json", dest="out")
 
-    p_per = sub.add_parser("per", help="periodicity lattice")
+    p_per = sub.add_parser("per", help="periodicity lattice",
+                           parents=[search])
     p_per.add_argument("model")
-    p_per.add_argument("--box", type=int, default=4, help=BOX_HELP)
-    p_per.add_argument("--ball", type=int, default=3, help=BALL_HELP)
-    p_per.add_argument("--tol", type=float, default=1e-9)
-    p_per.add_argument("--json", dest="out")
 
-    p_kms = sub.add_parser("kms-eval", help="equilibrium state report")
+    p_kms = sub.add_parser("kms-eval", help="equilibrium state report",
+                           parents=[search])
     p_kms.add_argument("model")
     p_kms.add_argument("--trace", default="haar")
     p_kms.add_argument("--element", help="element file to evaluate")
     p_kms.add_argument("--samples", type=int, default=100)
-    p_kms.add_argument("--box", type=int, default=4, help=BOX_HELP)
-    p_kms.add_argument("--ball", type=int, default=3, help=BALL_HELP)
-    p_kms.add_argument("--tol", type=float, default=1e-9)
-    p_kms.add_argument("--json", dest="out")
 
     args = parser.parse_args(argv)
     try:
@@ -491,12 +485,8 @@ def _dispatch(args) -> int:
         data = spectral_data(graph)
         summary = kms.simplex_summary(system, args.box, args.ball, args.tol,
                                       data=data)
-        doc = {
-            "exists": summary.exists,
-            "rank": summary.rank,
-            "verdict": summary.verdict,
-            "basis": [list(v) for v in summary.basis or ()],
-        }
+        doc = {**_summary_doc(summary),
+               "basis": [list(v) for v in summary.basis or ()]}
         if summary.exists:
             state = kms.make_kms_state(
                 system, trace=_parse_trace(args.trace), data=data,

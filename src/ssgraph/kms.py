@@ -139,10 +139,9 @@ def gauge_scale(state: KmsState, a: "algebra.AlgebraElement"):
     1: each monomial picks up rho**-(d(mu)-d(nu))."""
     entries = []
     for key, coeff in a.terms.items():
-        factor = 1.0 / state.data.rho_power(
-            sub_degrees(key.mu.degree, key.nu.degree))
         entries.append((key.mu, key.g, key.nu,
-                        algebra._as_coeff(coeff, False) * factor))
+                        algebra._as_coeff(coeff, False)
+                        * _gauge_factor(state, key)))
     return algebra.element(state.system, entries)
 
 
@@ -198,9 +197,7 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     _require(state)
     system = state.system
     graph = system.graph
-    elements = system.restriction_closure(
-        [system.identity]
-        + [system.generator_element(g.name) for g in system.generators])
+    elements = system.generator_closure()
     ones = tuple(1 for _ in range(graph.k))
     twos = tuple(2 for _ in range(graph.k))
     small = _monomials_up_to(system, ones, elements)
@@ -293,8 +290,6 @@ class SimplexSummary:
     exists: bool
     rank: int | None
     verdict: str
-    box_radius: int
-    ball_radius: int
     basis: tuple | None
     lattice: PeriodicityLattice | None = None
 
@@ -311,8 +306,7 @@ def simplex_summary(system, box_radius: int = 4, ball_radius: int = 3,
     if data is None:
         data = spectral_data(system.graph)
     if not check_g_invariance(data, system, tol):
-        return SimplexSummary(False, None, "empty", box_radius, ball_radius,
-                              None)
+        return SimplexSummary(False, None, "empty", None)
     if lattice is None:
         lattice = periodicity_group(system, box_radius, ball_radius,
                                     perron_data=data, tol=tol)
@@ -321,5 +315,4 @@ def simplex_summary(system, box_radius: int = 4, ball_radius: int = 3,
     else:
         verdict = (f"simplex of tracial states of C*(Z^{lattice.rank}): "
                    f"probability measures on the {lattice.rank}-torus")
-    return SimplexSummary(True, lattice.rank, verdict, box_radius,
-                          ball_radius, lattice.basis, lattice)
+    return SimplexSummary(True, lattice.rank, verdict, lattice.basis, lattice)

@@ -5,7 +5,8 @@ carry through a single generator ``+1``; elements are words in ``+1``
 on the word engine of :mod:`ssgraph.action`.  The odometer family also
 carries an independent positional-arithmetic oracle (digit words are
 least-significant-first), used to cross-check the factorization-table
-machinery and the periodicity search.
+machinery and the periodicity search.  The hypothesis checks apply to
+any action and live in :mod:`ssgraph.action`.
 """
 from __future__ import annotations
 
@@ -269,52 +270,3 @@ def _validate_katsura(t_matrix, b_matrix) -> None:
 
 def build_katsura(t_matrix, b_matrix, caps=None) -> KatsuraSystem:
     return KatsuraSystem(t_matrix, b_matrix, caps)
-
-
-# -- degenerate restriction property ------------------------------------
-
-def check_degenerate_property(system, depth_cap: int = 8):
-    """Whether every closure state restricts to the identity along some
-    path out of every vertex.
-
-    Returns True, False (found a state whose restriction states
-    saturate without reaching the identity, so no deeper path can
-    help), or None when the search hit the depth cap undecided.
-    """
-    graph = system.graph
-    states = system.restriction_closure(
-        [system.identity]
-        + [system.generator_element(g.name) for g in system.generators])
-    undecided = False
-    for g in states:
-        if system.is_identity(g):
-            continue
-        for v in range(graph.num_vertices):
-            verdict = _restricts_to_identity(system, g, v, depth_cap)
-            if verdict is False:
-                return False
-            if verdict is None:
-                undecided = True
-    return None if undecided else True
-
-
-def _restricts_to_identity(system, g, v, depth_cap):
-    graph = system.graph
-    seen = {(g, v)}
-    frontier = [(g, v)]
-    for _ in range(depth_cap):
-        next_frontier = []
-        for h, w in frontier:
-            for color in range(graph.k):
-                for e in graph.edges_from(w, color):
-                    res = system.restrict_edge(h, e)
-                    if system.is_identity(res):
-                        return True
-                    node = (res, e.source)
-                    if node not in seen:
-                        seen.add(node)
-                        next_frontier.append(node)
-        if not next_frontier:
-            return False
-        frontier = next_frontier
-    return None

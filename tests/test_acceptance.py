@@ -10,14 +10,14 @@ import math
 import random
 import time
 
-from ssgraph.action import check_locally_faithful, check_pseudo_free
+from ssgraph.action import check_degenerate_property, \
+    check_locally_faithful, check_pseudo_free
 from ssgraph.algebra import adjoint, element, elements_equal, expectation, \
     identity_element, max_deviation, monomial, multiply, \
     is_central_on_generators, periodicity_unitary
 from ssgraph.kms import character_trace, evaluate, make_kms_state, \
     simplex_summary, verify_kms
-from ssgraph.models import check_degenerate_property, expected_odometer_per, \
-    gamma_bijection
+from ssgraph.models import expected_odometer_per, gamma_bijection
 from ssgraph.intlattice import lattice_contains
 from ssgraph.periodicity import is_cycline, periodicity_group
 from ssgraph.perron import pf_state_value, rho_kernel_lattice, spectral_data

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from ssgraph.action import check_degenerate_property
 from ssgraph.errors import DomainError, NotBalanced, SpecViolation
 from ssgraph.models import BUILTIN_KATSURA, BUILTIN_ODOMETERS, build_katsura, \
-    build_odometer, check_degenerate_property, degree_weight, \
-    expected_odometer_per, gamma_bijection, odometer_commute, odometer_path, \
-    odometer_value
+    build_odometer, degree_weight, expected_odometer_per, gamma_bijection, \
+    odometer_commute, odometer_path, odometer_value
 
 
 def test_builtin_lists():
