@@ -206,18 +206,37 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def _monomial_product(system, left: Monomial, right: Monomial):
-    graph = system.graph
-    g, h = left.g, right.g
+    middle = _product_middle(system, left.g, left.nu, right.mu, right.g)
+    return _around_middle(system.graph, left.mu, middle, right.nu)
+
+
+def _product_middle(system, g, nu, mu, h):
+    """The part of (mu0, g, nu) * (mu, h, nu1) that does not depend on
+    the outer legs: per (lam, omega) in ``lambda_min(nu, mu)``, in its
+    order, the triple (g.lam, g|lam * h|(h^-1.omega), h^-1.omega).
+
+    The source of ``compose(p, q)`` is the source of q, so the
+    monomial condition of each product term is checked here."""
     h_inv = system.inverse(h)
     out = []
-    for lam, omega in graph.lambda_min(left.nu, right.mu):
-        mu = graph.compose(left.mu, system.act_path(g, lam))
+    for lam, omega in system.graph.lambda_min(nu, mu):
+        head = system.act_path(g, lam)
         pulled = system.act_path(h_inv, omega)
         mid = system.multiply(system.restrict_path(g, lam),
                               system.restrict_path(h, pulled))
-        nu = graph.compose(right.nu, pulled)
-        out.append(_checked_monomial(system, mu, mid, nu))
+        if system.act_vertex(mid, pulled.source) != head.source:
+            raise PreconditionViolated(
+                "source of mu must be the g-image of the source of nu")
+        out.append((head, mid, pulled))
     return out
+
+
+def _around_middle(graph, mu: Path, middle, nu: Path):
+    """The product monomials (mu.head, mid, nu.pulled) of a middle
+    from ``_product_middle``."""
+    compose = graph.compose
+    return [Monomial(compose(mu, head), mid, compose(nu, pulled))
+            for head, mid, pulled in middle]
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:

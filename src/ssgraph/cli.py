@@ -374,6 +374,17 @@ def _parse_matrix(text: str):
     return [[int(x) for x in row.split(",")] for row in text.split(";")]
 
 
+def _sample_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer at least 0, got {text!r}")
+    return count
+
+
 def _load_validated(path: str):
     data = _read_document(path)
     return parse_model(data, validate=True)
@@ -425,7 +436,9 @@ def main(argv=None) -> int:
     p_kms.add_argument("model")
     p_kms.add_argument("--trace", default="haar")
     p_kms.add_argument("--element", help="element file to evaluate")
-    p_kms.add_argument("--samples", type=int, default=100)
+    p_kms.add_argument("--samples", type=_sample_count, default=100,
+                       help="random pairs checked beyond the (1,...,1) "
+                            "block (default 100)")
 
     args = parser.parse_args(argv)
     try:

@@ -10,15 +10,17 @@ choice admitting equilibrium states.
 """
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import algebra
 from .errors import NotInLattice, SimplexEmpty
 from .intlattice import lattice_coordinates
-from .kgraph import sub_degrees
+from .kgraph import sub_degrees, unit_degree
 from .periodicity import PeriodicityLattice, is_cycline, periodicity_group
 from .perron import (PerronData, check_g_invariance, pf_state_value,
                      spectral_data)
@@ -164,53 +166,86 @@ class KmsReport:
     nonzero: int = 0
 
 
-def _monomials_up_to(system, bound, elements):
-    """All monomial keys (mu, g, nu) with both degrees at most ``bound``."""
-    graph = system.graph
-    degrees = [tuple(d) for d in itertools.product(
-        *(range(b + 1) for b in bound))]
-    paths = [p for d in degrees for p in graph.paths_of_degree(d)]
-    out = []
-    for g in elements:
-        for nu in paths:
-            target = system.act_vertex(g, nu.source)
-            for mu in paths:
-                if mu.source == target:
-                    out.append(algebra._checked_monomial(system, mu, g, nu))
-    return out
+class _MonomialBlock(Sequence):
+    """The monomial keys (mu, g, nu) with g in ``elements`` and both
+    degrees at most ``bound``, ordered by g, then nu, then mu.
+
+    An indexable view: it stores the paths and one running count per
+    (g, nu), and builds a monomial only when it is indexed, so
+    ``random.choice`` draws from it in memory O(elements x paths)."""
+
+    def __init__(self, system, bound, elements):
+        graph = system.graph
+        paths = [p for d in itertools.product(*(range(b + 1) for b in bound))
+                 for p in graph.paths_of_degree(d)]
+        by_source = [[] for _ in range(graph.num_vertices)]
+        for p in paths:
+            by_source[p.source].append(p)
+        self._system = system
+        self._legs = []     # (g, nu, the mu with s(mu) = g.s(nu))
+        self._ends = []     # monomials up to and including each (g, nu)
+        total = 0
+        for g in elements:
+            for nu in paths:
+                mus = by_source[system.act_vertex(g, nu.source)]
+                total += len(mus)
+                self._legs.append((g, nu, mus))
+                self._ends.append(total)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i: int):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        j = bisect.bisect_right(self._ends, i)
+        g, nu, mus = self._legs[j]
+        mu = mus[i - self._ends[j] + len(mus)]
+        return algebra._checked_monomial(self._system, mu, g, nu)
 
 
 def verify_kms(state: KmsState, sample_count: int = 500,
                tol: float = 1e-9, seed: int = 20_08) -> KmsReport:
     """Check phi(xy) = phi(y * scale(x)) over all monomial pairs with
-    degrees at most (1,...,1) plus random pairs up to (2,...,2).
+    degrees at most (1,...,1) plus ``sample_count`` random pairs up to
+    (2,...,2).
 
     Each unordered pair {x, y} of the (1,...,1) block costs two
     monomial products, xy and yx, which serve both ordered checks:
     phi(yx) is the left side of (y, x) and, scaled by x's gauge
     factor, the right side of (x, y).  A sampled pair costs the same
-    two products for its one check.  Every distinct product monomial
-    is evaluated once per call.  The sums take ``evaluate``'s terms in
+    two products for its one check.  A product's middle (its terms
+    without the outer legs) is computed once per distinct
+    (g, nu, mu', h) per call, and every distinct product monomial is
+    evaluated once per call.  The sums take ``evaluate``'s terms in
     its order with ``multiply``'s coefficients, so the result equals
     ``evaluate(multiply(x, y))`` against
     ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly."""
     _require(state)
+    if sample_count < 0:
+        raise ValueError(
+            f"sample count must be at least 0, got {sample_count}")
     system = state.system
     graph = system.graph
     elements = system.generator_closure()
     ones = tuple(1 for _ in range(graph.k))
     twos = tuple(2 for _ in range(graph.k))
-    small = _monomials_up_to(system, ones, elements)
-    big = _monomials_up_to(system, twos, elements)
+    small = list(_MonomialBlock(system, ones, elements))
+    big = _MonomialBlock(system, twos, elements)
     scales = [complex(_gauge_factor(state, x)) for x in small]
+    middles: dict = {}
     values: dict = {}
 
     def product(x, y):
         # the nonzero values of xy's monomials in ``multiply``'s order;
         # distinct extensions give distinct keys (unique factorization),
         # so each key carries coefficient one, as in ``multiply``
+        inner = (x.g, x.nu, y.mu, y.g)
+        middle = middles.get(inner)
+        if middle is None:
+            middle = middles[inner] = algebra._product_middle(system, *inner)
         out = []
-        for key in algebra._monomial_product(system, x, y):
+        for key in algebra._around_middle(graph, x.mu, middle, y.nu):
             value = values.get(key)
             if value is None:
                 value = values[key] = _evaluate_monomial(state, key)
@@ -260,8 +295,11 @@ class DiagonalReport:
 
 def restrict_to_diagonal(state: KmsState, tol: float = 1e-9) -> DiagonalReport:
     """The state restricted to diagonal monomials must agree with the
-    Perron-Frobenius values, and vertex values must be constant on
-    generator orbits."""
+    Perron-Frobenius values, vertex values must be constant on
+    generator orbits, and they must satisfy the Cuntz-Krieger relation
+    phi(p_v) = sum of phi(s_e s_e*) over the edges e of each colour
+    with range v and sum to 1 (Kumjian-Pask).  The last two test the
+    Perron data itself, which the other checks take as given."""
     _require(state)
     system = state.system
     graph = system.graph
@@ -274,14 +312,24 @@ def restrict_to_diagonal(state: KmsState, tol: float = 1e-9) -> DiagonalReport:
                 system, mu, system.identity, mu))
             worst = max(worst, abs(got - pf_state_value(state.data, mu)))
             checked += 1
+    vertex_values = [evaluate(state, algebra.vertex_projection(system, v))
+                     for v in range(graph.num_vertices)]
     for gen in system.generators:
         g = system.generator_element(gen.name)
         for v in range(graph.num_vertices):
-            moved = evaluate(state, algebra.vertex_projection(
-                system, system.act_vertex(g, v)))
-            still = evaluate(state, algebra.vertex_projection(system, v))
-            worst = max(worst, abs(moved - still))
+            moved = vertex_values[system.act_vertex(g, v)]
+            worst = max(worst, abs(moved - vertex_values[v]))
             checked += 1
+    for v, value in enumerate(vertex_values):
+        for color in range(graph.k):
+            edges = graph.paths_of_degree(unit_degree(graph.k, color),
+                                          from_vertex=v)
+            below = sum((evaluate(state, algebra.monomial(
+                system, e, system.identity, e)) for e in edges), 0j)
+            worst = max(worst, abs(value - below))
+            checked += 1
+    worst = max(worst, abs(sum(vertex_values, 0j) - 1))
+    checked += 1
     return DiagonalReport(worst < tol, worst, checked)
 
 

@@ -44,6 +44,12 @@ def kat21():
 
 
 @pytest.fixture(scope="session")
+def kat2v():
+    """The 2-vertex Katsura pair of the benchmark's katsura-kms job."""
+    return build_katsura([[2, 1], [1, 2]], [[1, 1], [1, 1]])
+
+
+@pytest.fixture(scope="session")
 def kat32():
     return build_katsura([[3]], [[2]])
 

@@ -9,8 +9,10 @@ from ssgraph.algebra import ExactComplex, add, adjoint, diagonal_identity, \
     identity_element, is_central_on_generators, max_deviation, monomial, \
     multiply, periodicity_unitary, refine, scale, vertex_projection, \
     zero_element
+from ssgraph.algebra import _checked_monomial, _monomial_product
 from ssgraph.errors import IncompleteTriples, NotPeriodic, \
     PreconditionViolated
+from ssgraph.kms import _MonomialBlock
 from ssgraph.models import odometer_path
 
 
@@ -129,6 +131,34 @@ def test_generator_unitaries_represent_the_group(odo22):
     assert elements_equal(multiply(u1, adjoint(u1)), identity_element(odo22))
     assert elements_equal(adjoint(u1), generator_unitary(odo22,
                                                          odo22.element(-1)))
+
+
+def reference_product(system, left, right):
+    """The monomials of left * right, computed in one loop over the
+    minimal common extensions: the reference for ``_monomial_product``."""
+    graph = system.graph
+    g, h = left.g, right.g
+    h_inv = system.inverse(h)
+    out = []
+    for lam, omega in graph.lambda_min(left.nu, right.mu):
+        mu = graph.compose(left.mu, system.act_path(g, lam))
+        pulled = system.act_path(h_inv, omega)
+        mid = system.multiply(system.restrict_path(g, lam),
+                              system.restrict_path(h, pulled))
+        nu = graph.compose(right.nu, pulled)
+        out.append(_checked_monomial(system, mu, mid, nu))
+    return out
+
+
+@pytest.mark.parametrize("name", ["odo22", "kat21", "kat2v"])
+def test_monomial_product_matches_reference(name, request):
+    system = request.getfixturevalue(name)
+    block = list(_MonomialBlock(system, (1,) * system.graph.k,
+                                system.generator_closure()))
+    for left in block:
+        for right in block:
+            assert _monomial_product(system, left, right) == \
+                reference_product(system, left, right)
 
 
 def test_covariance_relation(odo22, odo23):

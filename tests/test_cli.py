@@ -465,6 +465,16 @@ def test_kms_eval_bad_trace_exit(tmp_path, capsys):
     assert "unknown trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["-5", "x"])
+def test_kms_eval_rejects_bad_sample_count(tmp_path, capsys, samples):
+    model = gen_file(tmp_path, "odo2.json", "gen", "odometer", "--n", "2")
+    with pytest.raises(SystemExit) as stop:
+        main(["kms-eval", str(model), "--samples", samples])
+    assert stop.value.code == EXIT_INVALID
+    assert "--samples: must be an integer at least 0" in \
+        capsys.readouterr().err
+
+
 def test_kms_eval_invalid_model_exit(tmp_path, capsys):
     doc = base_doc(tmp_path)
     doc["squares"] = []

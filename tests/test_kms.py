@@ -229,7 +229,8 @@ def reference_trace(kind, rank):
 @pytest.mark.parametrize("name,kind", [
     ("odo22", "haar"), ("odo22", "character"), ("odo22", "mixture"),
     ("odo23", "haar"),
-    ("kat21", "haar"), ("kat21", "character"), ("kat21", "mixture")])
+    ("kat21", "haar"), ("kat21", "character"), ("kat21", "mixture"),
+    ("kat2v", "haar")])
 def test_fused_check_matches_reference_loop(name, kind, request):
     system = request.getfixturevalue(name)
     k = system.graph.k
@@ -251,6 +252,38 @@ def test_fused_check_matches_reference_loop(name, kind, request):
         got = verify_kms(state, sample_count=samples, tol=tol, seed=seed)
         assert got == expected
         assert got.max_deviation == expected.max_deviation
+
+
+@pytest.mark.parametrize("name", ["odo22", "odo23", "kat21", "kat2v",
+                                  "swap_system"])
+def test_monomial_block_matches_materialised_list(name, request):
+    # swap_system's generator moves vertices, so mu's source differs
+    # from nu's
+    system = request.getfixturevalue(name)
+    for bound in ((1,) * system.graph.k, (2,) * system.graph.k):
+        block = kms._MonomialBlock(system, bound, system.generator_closure())
+        expected = [key for m in reference_monomials(system, bound)
+                    for key in m.terms]
+        assert len(block) == len(expected)
+        assert list(block) == expected
+        # random.choice draws the same monomials from either
+        lazy, eager = random.Random(11), random.Random(11)
+        assert [lazy.choice(block) for _ in range(50)] == \
+            [eager.choice(expected) for _ in range(50)]
+
+
+def test_monomial_block_is_not_materialised(odo623):
+    # 2 elements x 3913**2 pairs of paths of degree at most (2,2,2)
+    block = kms._MonomialBlock(odo623, (2, 2, 2), odo623.generator_closure())
+    assert len(block) == 2 * 3913 ** 2 == 30_623_138
+    assert block[len(block) - 1].g == odo623.generator_closure()[-1]
+    with pytest.raises(IndexError):
+        block[len(block)]
+
+
+def test_negative_sample_count_is_rejected(odo22):
+    with pytest.raises(ValueError, match="at least 0"):
+        verify_kms(make_kms_state(odo22), sample_count=-5)
 
 
 def test_nonzero_count_is_pinned(odo22):
@@ -280,12 +313,30 @@ def test_kms_check_fails_without_gauge_factor(odo22, monkeypatch):
     assert report.max_deviation == 0.75
 
 
-def test_restricted_diagonal_matches_perron_state(odo22, odo23):
-    for system in (odo22, odo23):
+def test_restricted_diagonal_matches_perron_state(odo22, odo23, kat21,
+                                                  kat2v):
+    for system in (odo22, odo23, kat21, kat2v):
         state = make_kms_state(system)
         report = restrict_to_diagonal(state)
         assert report.ok
         assert report.max_deviation < 1e-9
+
+
+@pytest.mark.parametrize("name,field,value,deviation", [
+    # each first-colour edge weighs 1/3, and 2/3 != 1 at the one vertex
+    ("odo22", "rho", (3.0, 2.0), 1 / 3),
+    # the one vertex keeps the Cuntz-Krieger relation but weighs 0.7
+    ("kat21", "x", (0.7, 0.3), 0.3),
+    # (2 * 0.7 + 0.3) / 3 = 17/30 at v0, against 0.7
+    ("kat2v", "x", (0.7, 0.3), 2 / 15)])
+def test_restricted_diagonal_detects_wrong_perron_data(name, field, value,
+                                                       deviation, request):
+    state = make_kms_state(request.getfixturevalue(name))
+    broken = dataclasses.replace(
+        state, data=dataclasses.replace(state.data, **{field: value}))
+    report = restrict_to_diagonal(broken)
+    assert not report.ok
+    assert report.max_deviation == pytest.approx(deviation)
 
 
 # -- simplex verdicts ----------------------------------------------------
