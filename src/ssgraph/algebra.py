@@ -206,8 +206,12 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def _monomial_product(system, left: Monomial, right: Monomial):
-    middle = _product_middle(system, left.g, left.nu, right.mu, right.g)
-    return _around_middle(system.graph, left.mu, middle, right.nu)
+    """The product monomials (mu.head, mid, nu.pulled) around the
+    middle of ``_product_middle``."""
+    compose = system.graph.compose
+    return [Monomial(compose(left.mu, head), mid, compose(right.nu, pulled))
+            for head, mid, pulled in _product_middle(
+                system, left.g, left.nu, right.mu, right.g)]
 
 
 def _product_middle(system, g, nu, mu, h):
@@ -229,14 +233,6 @@ def _product_middle(system, g, nu, mu, h):
                 "source of mu must be the g-image of the source of nu")
         out.append((head, mid, pulled))
     return out
-
-
-def _around_middle(graph, mu: Path, middle, nu: Path):
-    """The product monomials (mu.head, mid, nu.pulled) of a middle
-    from ``_product_middle``."""
-    compose = graph.compose
-    return [Monomial(compose(mu, head), mid, compose(nu, pulled))
-            for head, mid, pulled in middle]
 
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:

@@ -374,7 +374,7 @@ def _parse_matrix(text: str):
     return [[int(x) for x in row.split(",")] for row in text.split(";")]
 
 
-def _sample_count(text: str) -> int:
+def _count(text: str) -> int:
     try:
         count = int(text)
     except ValueError:
@@ -436,9 +436,13 @@ def main(argv=None) -> int:
     p_kms.add_argument("model")
     p_kms.add_argument("--trace", default="haar")
     p_kms.add_argument("--element", help="element file to evaluate")
-    p_kms.add_argument("--samples", type=_sample_count, default=100,
+    p_kms.add_argument("--samples", type=_count, default=100,
                        help="random pairs checked beyond the (1,...,1) "
                             "block (default 100)")
+    p_kms.add_argument("--max-checks", type=_count, default=10_000_000,
+                       help="cap on the identity checks, the block size "
+                            "squared plus the samples; over it the "
+                            "check exits 3 (default 10000000)")
 
     args = parser.parse_args(argv)
     try:
@@ -505,7 +509,8 @@ def _dispatch(args) -> int:
                 system, trace=_parse_trace(args.trace), data=data,
                 lattice=summary.lattice, tol=args.tol)
             verify = kms.verify_kms(state, sample_count=args.samples,
-                                    tol=args.tol)
+                                    tol=args.tol,
+                                    max_checks=args.max_checks)
             doc["verify"] = {
                 "ok": verify.ok,
                 "maxDeviation": verify.max_deviation,

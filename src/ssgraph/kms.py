@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import algebra
-from .errors import NotInLattice, SimplexEmpty
+from .errors import ClosureExceeded, NotInLattice, SimplexEmpty
 from .intlattice import lattice_coordinates
 from .kgraph import sub_degrees, unit_degree
 from .periodicity import PeriodicityLattice, is_cycline, periodicity_group
@@ -205,22 +205,26 @@ class _MonomialBlock(Sequence):
 
 
 def verify_kms(state: KmsState, sample_count: int = 500,
-               tol: float = 1e-9, seed: int = 20_08) -> KmsReport:
+               tol: float = 1e-9, seed: int = 20_08,
+               max_checks: int = 10_000_000) -> KmsReport:
     """Check phi(xy) = phi(y * scale(x)) over all monomial pairs with
     degrees at most (1,...,1) plus ``sample_count`` random pairs up to
-    (2,...,2).
+    (2,...,2); more than ``max_checks`` checks raise ClosureExceeded
+    before any product is made.
 
     Each unordered pair {x, y} of the (1,...,1) block costs two
     monomial products, xy and yx, which serve both ordered checks:
     phi(yx) is the left side of (y, x) and, scaled by x's gauge
     factor, the right side of (x, y).  A sampled pair costs the same
-    two products for its one check.  A product's middle (its terms
-    without the outer legs) is computed once per distinct
-    (g, nu, mu', h) per call, and every distinct product monomial is
-    evaluated once per call.  The sums take ``evaluate``'s terms in
-    its order with ``multiply``'s coefficients, so the result equals
-    ``evaluate(multiply(x, y))`` against
-    ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly."""
+    two products for its one check.  Products run on integer handles
+    local to the call, the ids of mu, (g, nu), (mu, g) and nu: a
+    middle (the terms without the outer legs) is computed once per
+    distinct (g, nu) and (mu', h), and each distinct (mu, term, nu')
+    cell is composed and evaluated once.  A pair whose products have
+    no nonzero value is counted as 0 = 0 without summing.  The sums
+    take ``evaluate``'s terms in its order with ``multiply``'s
+    coefficients, so the result equals ``evaluate(multiply(x, y))``
+    against ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly."""
     _require(state)
     if sample_count < 0:
         raise ValueError(
@@ -230,60 +234,111 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     elements = system.generator_closure()
     ones = tuple(1 for _ in range(graph.k))
     twos = tuple(2 for _ in range(graph.k))
-    small = list(_MonomialBlock(system, ones, elements))
+    block = _MonomialBlock(system, ones, elements)
+    needed = len(block) ** 2 + sample_count
+    if needed > max_checks:
+        raise ClosureExceeded(
+            f"KMS check needs {needed} checks ({len(block)}**2 block "
+            f"pairs + {sample_count} samples), over the max_checks cap "
+            f"of {max_checks}; raise it with --max-checks")
     big = _MonomialBlock(system, twos, elements)
-    scales = [complex(_gauge_factor(state, x)) for x in small]
+    # ids of paths, (g, nu), (mu, g) and product terms, interned apart
+    # from the memos keyed on them (named tuples equal plain tuples);
+    # a memo key packs its ids into one int, and every path, (g, nu)
+    # and (mu, g) id is below ``span``, one per (g, nu) of ``big``
+    span = len(big._legs)
+    paths: dict = {}
+    gnus: dict = {}
+    mugs: dict = {}
+    terms: dict = {}
+    term_list = []
     middles: dict = {}
+    lefts: dict = {}
+    rights: dict = {}
+    cells: dict = {}
     values: dict = {}
+    compose = graph.compose
+
+    def handle(m):
+        # the ids of m's mu, (g, nu), (mu, g) and nu, then m itself
+        return (paths.setdefault(m.mu, len(paths)),
+                gnus.setdefault((m.g, m.nu), len(gnus)),
+                mugs.setdefault((m.mu, m.g), len(mugs)),
+                paths.setdefault(m.nu, len(paths)), m)
+
+    def term_id(term):
+        t = terms.get(term)
+        if t is None:
+            t = terms[term] = len(term_list)
+            term_list.append(term)
+        return t
 
     def product(x, y):
         # the nonzero values of xy's monomials in ``multiply``'s order;
         # distinct extensions give distinct keys (unique factorization),
         # so each key carries coefficient one, as in ``multiply``
-        inner = (x.g, x.nu, y.mu, y.g)
+        inner = x[1] * span + y[2]
         middle = middles.get(inner)
         if middle is None:
-            middle = middles[inner] = algebra._product_middle(system, *inner)
+            xm, ym = x[4], y[4]
+            middle = middles[inner] = tuple(map(term_id, (
+                algebra._product_middle(system, xm.g, xm.nu, ym.mu, ym.g))))
         out = []
-        for key in algebra._around_middle(graph, x.mu, middle, y.nu):
-            value = values.get(key)
+        for t in middle:
+            cell = (t * span + x[0]) * span + y[3]
+            value = cells.get(cell)
             if value is None:
-                value = values[key] = _evaluate_monomial(state, key)
+                head, mid, pulled = term_list[t]
+                left = lefts.get(t * span + x[0])
+                if left is None:
+                    left = lefts[t * span + x[0]] = compose(x[4].mu, head)
+                right = rights.get(t * span + y[3])
+                if right is None:
+                    right = rights[t * span + y[3]] = compose(y[4].nu, pulled)
+                key = algebra.Monomial(left, mid, right)
+                value = values.get(key)
+                if value is None:
+                    value = values[key] = _evaluate_monomial(state, key)
+                cells[cell] = value
             if value:
                 out.append(value)
         return out
 
-    def ordered_checks():
-        # (terms of xy, terms of yx, gauge factor of x) per ordered pair
-        for i, x in enumerate(small):
-            for j in range(i, len(small)):
-                y = small[j]
-                xy = product(x, y)
-                if j == i:
-                    yield xy, xy, scales[i]
-                    continue
-                yx = product(y, x)
-                yield xy, yx, scales[i]
-                yield yx, xy, scales[j]
-        rng = random.Random(seed)
-        for _ in range(sample_count):
-            x = rng.choice(big)
-            y = rng.choice(big)
-            yield (product(x, y), product(y, x),
-                   complex(_gauge_factor(state, x)))
-
     worst = 0.0
-    checked = 0
     nonzero = 0
-    for left, right, scale in ordered_checks():
+
+    def tally(left, right, scale):
         # evaluate's sum, term by term from 0j
+        nonlocal worst, nonzero
         lhs = sum(left, 0j)
         rhs = sum((scale * value for value in right), 0j)
         worst = max(worst, abs(lhs - rhs))
-        checked += 1
         if lhs:
             nonzero += 1
-    return KmsReport(worst < tol, worst, checked, tol, nonzero)
+
+    handles = [handle(x) for x in block]
+    scales = [complex(_gauge_factor(state, x[4])) for x in handles]
+    for i, x in enumerate(handles):
+        xx = product(x, x)
+        if xx:
+            tally(xx, xx, scales[i])
+        for j in range(i + 1, len(handles)):
+            y = handles[j]
+            xy = product(x, y)
+            yx = product(y, x)
+            if xy or yx:
+                tally(xy, yx, scales[i])
+                tally(yx, xy, scales[j])
+    rng = random.Random(seed)
+    for _ in range(sample_count):
+        x = rng.choice(big)
+        y = rng.choice(big)
+        hx, hy = handle(x), handle(y)
+        xy = product(hx, hy)
+        yx = product(hy, hx)
+        if xy or yx:
+            tally(xy, yx, complex(_gauge_factor(state, x)))
+    return KmsReport(worst < tol, worst, needed, tol, nonzero)
 
 
 @dataclass

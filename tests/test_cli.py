@@ -475,6 +475,17 @@ def test_kms_eval_rejects_bad_sample_count(tmp_path, capsys, samples):
         capsys.readouterr().err
 
 
+def test_kms_eval_check_cap_exits_3(tmp_path, capsys):
+    # 14,112**2 + 100 checks at the defaults, refused before any product
+    model = gen_file(tmp_path, "odo623.json", "gen", "odometer",
+                     "--n", "6,2,3")
+    assert main(["kms-eval", str(model)]) == EXIT_CAPPED
+    err = capsys.readouterr().err
+    assert "199148644 checks" in err
+    assert "max_checks cap of 10000000" in err
+    assert "--max-checks" in err
+
+
 def test_kms_eval_invalid_model_exit(tmp_path, capsys):
     doc = base_doc(tmp_path)
     doc["squares"] = []

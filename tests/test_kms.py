@@ -9,11 +9,12 @@ from ssgraph.algebra import add, adjoint, element, generator_unitary, \
     identity_element, monomial, multiply, periodicity_unitary, scale, \
     vertex_projection
 from ssgraph import kms
-from ssgraph.errors import NotInLattice, SimplexEmpty
+from ssgraph.errors import ClosureExceeded, NotInLattice, SimplexEmpty
+from ssgraph.kgraph import KGraph
 from ssgraph.kms import KmsReport, character_trace, evaluate, gauge_scale, \
     haar_trace, make_kms_state, mixture_trace, restrict_to_diagonal, \
     simplex_summary, trace_value, verify_kms
-from ssgraph.models import odometer_path
+from ssgraph.models import build_katsura, odometer_path
 from ssgraph.periodicity import PeriodicityLattice, periodicity_group
 from ssgraph.perron import pf_state_value, spectral_data
 
@@ -296,6 +297,45 @@ def test_nonzero_count_is_pinned(odo22):
     report = verify_kms(state, sample_count=500, seed=7)
     assert report.ok
     assert (report.checked, report.nonzero) == (162 ** 2 + 500, 401)
+
+
+def test_check_count_cap_is_exact(odo22):
+    state = make_kms_state(odo22)
+    limit = 162 ** 2 + 10
+    report = verify_kms(state, sample_count=10, max_checks=limit)
+    assert report.ok and report.checked == limit
+    with pytest.raises(ClosureExceeded,
+                       match=rf"{limit} checks.*max_checks cap of "
+                             rf"{limit - 1}; raise it with --max-checks"):
+        verify_kms(state, sample_count=10, max_checks=limit - 1)
+
+
+def test_nonzero_deviation_is_bit_exact():
+    # the one corpus model whose deviation is not 0.0, pinned bit for
+    # bit; its right sides have at most one nonzero term, so scaling
+    # per term or after the sum give the same bits here
+    system = build_katsura([[3, 1], [1, 2]], [[-2, 1], [1, 1]])
+    report = verify_kms(make_kms_state(system), sample_count=200, seed=5)
+    assert (report.ok, report.max_deviation, report.checked,
+            report.nonzero) == (True, 1.3877787807814457e-17, 15329, 165)
+    assert repr(report.max_deviation) == "1.3877787807814457e-17"
+
+
+def test_each_product_cell_is_composed_once(odo22, monkeypatch):
+    # composing both legs of every product term takes 32,426 calls
+    # here; one per distinct (path, term) leg takes 1,537
+    state = make_kms_state(odo22)
+    verify_kms(state, sample_count=500, seed=7)
+    calls = []
+    compose = KGraph.compose
+
+    def counted(graph, mu, nu):
+        calls.append(1)
+        return compose(graph, mu, nu)
+
+    monkeypatch.setattr(KGraph, "compose", counted)
+    verify_kms(state, sample_count=500, seed=7)
+    assert len(calls) < 3000
 
 
 def test_kms_check_fails_off_the_lattice(odo22):
