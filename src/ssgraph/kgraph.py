@@ -210,27 +210,33 @@ class KGraph:
 
     def split_front(self, mu: Path, p: Degree) -> tuple[Path, Path]:
         """Factor ``mu = beta . alpha`` with ``d(beta) = p``."""
-        if not leq_degrees(zero_degree(self.k), p) or not leq_degrees(p, mu.degree):
-            raise BadRange(f"degree {p} not within 0..{mu.degree}")
+        p = tuple(p)
+        d = mu.degree
+        if len(p) != self.k or not all(0 <= a <= b for a, b in zip(p, d)):
+            raise BadRange(f"degree {p} not within 0..{d}")
+        if p == d:
+            return mu, self.vertex_path(mu.source)
+        if not any(p):
+            return self.vertex_path(mu.range_vertex), mu
         seq = list(mu.edges)
         prefix: list[Edge] = []
+        # seq stays colour-sorted: once the colour-c prefix edges are
+        # due, t leftover edges of lower colours precede the first one
+        t = 0
         for color in range(self.k):
             for _ in range(p[color]):
-                t = next(i for i, e in enumerate(seq) if e.color == color)
-                while t > 0:
-                    # neighbours to the left have strictly smaller color
-                    g2, f2 = self._swap_to_desc(seq[t - 1], seq[t])
-                    seq[t - 1], seq[t] = g2, f2
-                    t -= 1
+                for i in range(t, 0, -1):
+                    seq[i - 1], seq[i] = self._swap_to_desc(seq[i - 1], seq[i])
                 prefix.append(seq.pop(0))
+            t += d[color] - p[color]
         beta = Path(mu.range_vertex, tuple(prefix), p)
-        alpha_range = prefix[-1].source if prefix else mu.range_vertex
-        alpha = Path(alpha_range, tuple(seq), sub_degrees(mu.degree, p))
+        alpha = Path(prefix[-1].source, tuple(seq), sub_degrees(d, p))
         return beta, alpha
 
     def segment(self, mu: Path, p: Degree, q: Degree) -> Path:
         """The middle factor ``mu(p, q)`` of degree ``q - p``."""
-        if not leq_degrees(p, q) or not leq_degrees(q, mu.degree):
+        if len(q) != self.k or not leq_degrees(p, q) \
+                or not leq_degrees(q, mu.degree):
             raise BadRange(f"need 0 <= {p} <= {q} <= {mu.degree}")
         _, tail = self.split_front(mu, p)
         mid, _ = self.split_front(tail, sub_degrees(q, p))

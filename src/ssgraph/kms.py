@@ -216,7 +216,9 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     monomial products, xy and yx, which serve both ordered checks:
     phi(yx) is the left side of (y, x) and, scaled by x's gauge
     factor, the right side of (x, y).  A sampled pair costs the same
-    two products for its one check.  Products run on integer handles
+    two products for its one check.  Samples are drawn as indices into
+    the (2,...,2) block; each distinct index builds its monomial and
+    handle once.  Products run on integer handles
     local to the call, the ids of mu, (g, nu), (mu, g) and nu: a
     middle (the terms without the outer legs) is computed once per
     distinct (g, nu) and (mu', h), and each distinct (mu, term, nu')
@@ -329,15 +331,27 @@ def verify_kms(state: KmsState, sample_count: int = 500,
             if xy or yx:
                 tally(xy, yx, scales[i])
                 tally(yx, xy, scales[j])
+    # rng.choice reads only len and one index, so drawing from a range
+    # of len(big) gives the indices of rng.choice(big)'s draws
     rng = random.Random(seed)
+    indices = range(len(big))
+    drawn: dict = {}
+
+    def draw():
+        # a sampled monomial's handle, built once per index
+        i = rng.choice(indices)
+        h = drawn.get(i)
+        if h is None:
+            h = drawn[i] = handle(big[i])
+        return h
+
     for _ in range(sample_count):
-        x = rng.choice(big)
-        y = rng.choice(big)
-        hx, hy = handle(x), handle(y)
+        hx = draw()
+        hy = draw()
         xy = product(hx, hy)
         yx = product(hy, hx)
         if xy or yx:
-            tally(xy, yx, complex(_gauge_factor(state, x)))
+            tally(xy, yx, complex(_gauge_factor(state, hx[4])))
     return KmsReport(worst < tol, worst, needed, tol, nonzero)
 
 

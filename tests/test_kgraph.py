@@ -106,6 +106,52 @@ def test_split_and_segment_roundtrip(odo23):
         g.split_front(paths[0], (3, 0))
 
 
+def test_split_front_rejects_a_degree_of_the_wrong_length(odo23):
+    g = odo23.graph
+    mu = g.paths_of_degree((1, 1))[0]
+    for p in ((1, 1, 5), (0, 0, 0), (1,)):
+        with pytest.raises(BadRange):
+            g.split_front(mu, p)
+        with pytest.raises(BadRange):
+            g.segment(mu, p, (1, 1))
+    with pytest.raises(BadRange):
+        g.segment(mu, (0, 0), (1, 1, 0))
+
+
+@pytest.mark.parametrize("name,bound,count", [
+    ("odo23", (2, 2), (1 + 2 + 4) * (1 + 3 + 9)),
+    ("flip_square_system", (2, 2), 7 * 7),
+    ("odo222", (2, 2, 2), 7 ** 3)])
+def test_split_front_factors_every_path_at_every_degree(name, bound, count,
+                                                        request):
+    # unique factorisation: the head and tail of degrees p and d - p
+    # that compose to mu are the only ones, so this is a full oracle
+    system = (build_odometer((2, 2, 2)) if name == "odo222"
+              else request.getfixturevalue(name))
+    g = system.graph
+    paths = _paths_up_to(g, bound)
+    assert len(paths) == count
+    for mu in paths:
+        d = mu.degree
+        for p in itertools.product(*(range(b + 1) for b in d)):
+            head, tail = g.split_front(mu, p)
+            assert head.degree == p
+            assert tail.degree == sub_degrees(d, p)
+            assert g.compose(head, tail) == mu
+        zero = (0,) * g.k
+        for p, ends in ((zero, (g.vertex_path(mu.range_vertex), mu)),
+                        (d, (mu, g.vertex_path(mu.source)))):
+            head, tail = g.split_front(mu, list(p))
+            assert (head, tail) == ends
+            assert type(head.degree) is tuple and len(head.degree) == g.k
+            assert type(tail.degree) is tuple and len(tail.degree) == g.k
+        for color in range(g.k):
+            for step in (-1, d[color] + 1):
+                p = tuple(step if c == color else 0 for c in range(g.k))
+                with pytest.raises(BadRange):
+                    g.split_front(mu, p)
+
+
 def test_canonical_form_is_color_ascending(odo623):
     g = odo623.graph
     for mu in g.paths_of_degree((1, 1, 1)):

@@ -17,6 +17,7 @@ from ssgraph.kms import KmsReport, character_trace, evaluate, gauge_scale, \
 from ssgraph.models import build_katsura, odometer_path
 from ssgraph.periodicity import PeriodicityLattice, periodicity_group
 from ssgraph.perron import pf_state_value, spectral_data
+from tests.conftest import bench_model
 
 
 def small_random_element(system, rng, size=3):
@@ -336,6 +337,24 @@ def test_each_product_cell_is_composed_once(odo22, monkeypatch):
     monkeypatch.setattr(KGraph, "compose", counted)
     verify_kms(state, sample_count=500, seed=7)
     assert len(calls) < 3000
+
+
+def test_sample_draws_are_built_once_per_index(monkeypatch):
+    # 4,000 samples from the adding machine's 98-monomial (2)-block:
+    # drawing monomials would index the block 8,000 times
+    state = make_kms_state(bench_model("adding_machine"))
+    calls = []
+    getitem = kms._MonomialBlock.__getitem__
+
+    def counted(block, i):
+        calls.append(i)
+        return getitem(block, i)
+
+    monkeypatch.setattr(kms._MonomialBlock, "__getitem__", counted)
+    report = verify_kms(state, sample_count=4000, seed=3)
+    assert (report.ok, report.max_deviation, report.checked,
+            report.nonzero) == (True, 0.0, 4324, 65)
+    assert len(calls) < 200
 
 
 def test_kms_check_fails_off_the_lattice(odo22):
