@@ -288,12 +288,12 @@ class ActionSystem:
 
     # -- closures -------------------------------------------------------
 
-    def _automaton(self, seeds: Iterable[GroupElement], cap: int | None = None
+    def _automaton(self, seeds: Iterable[GroupElement]
                    ) -> dict[Word, dict[ColorEdge, Word]]:
         """The closure of the seeds under edge restriction, as an
         automaton: each state, in breadth-first order from the seeds,
         with its canonical restriction along every color-edge."""
-        cap = cap or self.caps.max_closure
+        cap = self.caps.max_closure
         rows: dict[Word, dict[ColorEdge, Word]] = {}
         keys: list[Word] = []
 
@@ -301,7 +301,8 @@ class ActionSystem:
             if key not in rows:
                 if len(rows) >= cap:
                     raise ClosureExceeded(
-                        f"restriction closure exceeds cap {cap}")
+                        f"restriction closure exceeds cap max_closure="
+                        f"{cap} (reached {len(rows) + 1} states)")
                 rows[key] = {}
                 keys.append(key)
             return key
@@ -315,10 +316,10 @@ class ActionSystem:
                     self._restrict_edge_raw(key, ce)))
         return rows
 
-    def restriction_closure(self, seeds: Sequence[GroupElement],
-                            cap: int | None = None) -> list[GroupElement]:
+    def restriction_closure(self, seeds: Sequence[GroupElement]
+                            ) -> list[GroupElement]:
         """Smallest set containing the seeds closed under edge restriction."""
-        return [GroupElement(key) for key in self._automaton(seeds, cap)]
+        return [GroupElement(key) for key in self._automaton(seeds)]
 
     def generator_closure(self) -> list[GroupElement]:
         """The restriction closure of the identity and the generators:
@@ -384,7 +385,9 @@ class ActionSystem:
                     if h.key not in seen:
                         if len(seen) >= self.caps.max_closure:
                             raise ClosureExceeded(
-                                f"word ball exceeds cap {self.caps.max_closure}")
+                                f"word ball exceeds cap max_closure="
+                                f"{self.caps.max_closure} (reached "
+                                f"{len(seen) + 1} states)")
                         seen.add(h.key)
                         out.append(h)
                         new_frontier.append(h)

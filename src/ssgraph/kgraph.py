@@ -273,10 +273,24 @@ class KGraph:
                 v = e.source
         return Path(from_vertex, tuple(acc), n)
 
+    def meet_tails(self, mu: Path, nu: Path, split=None):
+        """Split ``mu`` and ``nu`` at the meet of their degrees: their
+        tails ``(alpha, beta)`` when the two heads agree, else None.
+
+        The tails have degrees of disjoint support.  ``split`` stands in
+        for ``split_front``, e.g. a caller's memo of it."""
+        split = split or self.split_front
+        common = meet_degrees(mu.degree, nu.degree)
+        mu_head, alpha = split(mu, common)
+        nu_head, beta = split(nu, common)
+        return (alpha, beta) if mu_head == nu_head else None
+
     def lambda_min(self, mu: Path, nu: Path):
         """Minimal common extensions ``[(alpha, beta)]`` with
         ``mu.alpha == nu.beta`` of degree ``d(mu) v d(nu)``.
 
+        By unique factorisation they are those of the ``meet_tails``:
+        none when the heads differ, else the extensions of mu's tail.
         The set is a pure function of (mu, nu), so it is memoised on the
         graph; each call returns a fresh list.  The memo holds one entry
         per distinct pair passed in, e.g. at most the square of the
@@ -286,13 +300,14 @@ class KGraph:
         hit = self._lambda_min_memo.get(key)
         if hit is None:
             out = []
-            if mu.range_vertex == nu.range_vertex:
-                top = join_degrees(mu.degree, nu.degree)
-                for alpha in self.paths_of_degree(
-                        sub_degrees(top, mu.degree), from_vertex=mu.source):
-                    joined = self.compose(mu, alpha)
-                    head, beta = self.split_front(joined, nu.degree)
-                    if head == nu:
+            tails = self.meet_tails(mu, nu)
+            if tails is not None:
+                alpha0, beta0 = tails
+                for alpha in self.paths_of_degree(beta0.degree,
+                                                  from_vertex=mu.source):
+                    head, beta = self.split_front(
+                        self.compose(alpha0, alpha), beta0.degree)
+                    if head == beta0:
                         out.append((alpha, beta))
             hit = self._lambda_min_memo[key] = tuple(out)
         return list(hit)

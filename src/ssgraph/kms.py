@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import itertools
 import random
 from collections.abc import Sequence
@@ -21,7 +22,8 @@ from . import algebra
 from .errors import ClosureExceeded, NotInLattice, SimplexEmpty
 from .intlattice import lattice_coordinates
 from .kgraph import sub_degrees, unit_degree
-from .periodicity import PeriodicityLattice, is_cycline, periodicity_group
+from .periodicity import (CyclineState, PeriodicityLattice, cycline_search,
+                          is_cycline, periodicity_group)
 from .perron import (PerronData, check_g_invariance, pf_state_value,
                      spectral_data)
 
@@ -131,6 +133,11 @@ def evaluate(state: KmsState, a: "algebra.AlgebraElement") -> complex:
 def _evaluate_monomial(state: KmsState, key) -> complex:
     if not is_cycline(state.system, key.mu, key.g, key.nu).verdict:
         return 0j
+    return _cycline_value(state, key)
+
+
+def _cycline_value(state: KmsState, key) -> complex:
+    """The state's value on a monomial key known to be cycline."""
     z = sub_degrees(key.mu.degree, key.nu.degree)
     weight = pf_state_value(state.data, key.mu)
     return weight * trace_value(state.trace, state.lattice, z)
@@ -222,7 +229,11 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     local to the call, the ids of mu, (g, nu), (mu, g) and nu: a
     middle (the terms without the outer legs) is computed once per
     distinct (g, nu) and (mu', h), and each distinct (mu, term, nu')
-    cell is composed and evaluated once.  A pair whose products have
+    cell is composed and evaluated once.  A monomial is evaluated as
+    ``evaluate`` does, except that the cycline verdict comes from
+    caches local to the call: one ``split_front`` per (path, meet
+    degree) and one fixpoint search per reduced state, leaving
+    ``system.cycline_memo`` untouched.  A pair whose products have
     no nonzero value is counted as 0 = 0 without summing.  The sums
     take ``evaluate``'s terms in its order with ``multiply``'s
     coefficients, so the result equals ``evaluate(multiply(x, y))``
@@ -260,6 +271,19 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     cells: dict = {}
     values: dict = {}
     compose = graph.compose
+    # cycline verdicts: one split per (path, degree) and one fixpoint
+    # search per reduced state, cached for this call only
+    split = functools.cache(graph.split_front)
+    verdict = functools.cache(lambda s: cycline_search(system, s).verdict)
+
+    def evaluate_monomial(key):
+        # _evaluate_monomial, with is_cycline's source check
+        algebra._checked_monomial(system, key.mu, key.g, key.nu)
+        tails = graph.meet_tails(key.mu, key.nu, split)
+        if tails is None \
+                or not verdict(CyclineState(tails[0], key.g, tails[1])):
+            return 0j
+        return _cycline_value(state, key)
 
     def handle(m):
         # the ids of m's mu, (g, nu), (mu, g) and nu, then m itself
@@ -300,7 +324,7 @@ def verify_kms(state: KmsState, sample_count: int = 500,
                 key = algebra.Monomial(left, mid, right)
                 value = values.get(key)
                 if value is None:
-                    value = values[key] = _evaluate_monomial(state, key)
+                    value = values[key] = evaluate_monomial(key)
                 cells[cell] = value
             if value:
                 out.append(value)

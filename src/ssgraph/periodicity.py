@@ -9,7 +9,11 @@ a front edge of e's color followed by a tail of the old degree.  A
 state survives when, for every such e, the two front edges agree and
 the successor state (left tail, h|e, right tail) survives.  The triple
 is cycline exactly when its reduced state survives, and the forward
-reachable set doubles as a certificate.
+reachable set doubles as a certificate.  ``KGraph.meet_tails`` gives
+the reduced state (g between the tails of mu and nu past the meet of
+their degrees), or refutes the triple when the heads differ;
+``cycline_search`` runs the fixpoint from a reduced state, so a caller
+meeting one state many times can search it once.
 
 The periodicity group Per lies inside K = {z : rho ** z == 1}.  When
 the radii carry an integer certificate, K is computed exactly and its
@@ -29,7 +33,7 @@ from typing import NamedTuple
 from .errors import (BoxClosureViolation, ClosureExceeded,
                      PreconditionViolated)
 from .intlattice import hnf_basis, lattice_contains, lattice_coordinates
-from .kgraph import Path, join_degrees, meet_degrees
+from .kgraph import Path, join_degrees
 from .perron import (PerronData, rho_kernel_lattice, rho_power_is_one,
                      spectral_data)
 
@@ -66,19 +70,19 @@ def is_cycline(system, mu: Path, g, nu: Path,
     hit = system.cycline_memo.get(memo_key)
     if hit is not None:
         return hit
-    cert = _cycline_fixpoint(system, mu, g, nu, state_cap)
+    tails = system.graph.meet_tails(mu, nu)
+    cert = CyclineCertificate(False, None, (), None) if tails is None \
+        else cycline_search(system, CyclineState(tails[0], g, tails[1]),
+                            state_cap)
     system.cycline_memo[memo_key] = cert
     return cert
 
 
-def _cycline_fixpoint(system, mu, g, nu, state_cap):
+def cycline_search(system, start: CyclineState,
+                   state_cap: int = DEFAULT_STATE_CAP) -> CyclineCertificate:
+    """The fixpoint from a reduced state, whose degrees have disjoint
+    support: a breadth-first search of at most ``state_cap`` states."""
     graph = system.graph
-    common = meet_degrees(mu.degree, nu.degree)
-    mu_head, alpha0 = graph.split_front(mu, common)
-    nu_head, beta0 = graph.split_front(nu, common)
-    if mu_head != nu_head:
-        return CyclineCertificate(False, None, (), None)
-    start = CyclineState(alpha0, g, beta0)
     seen = {start}
     queue = deque([start])
     while queue:
@@ -97,7 +101,8 @@ def _cycline_fixpoint(system, mu, g, nu, state_cap):
                 if succ not in seen:
                     if len(seen) >= state_cap:
                         raise ClosureExceeded(
-                            f"cycline fixpoint exceeds {state_cap} states")
+                            f"cycline fixpoint exceeds cap state_cap="
+                            f"{state_cap} (reached {len(seen) + 1} states)")
                     seen.add(succ)
                     queue.append(succ)
     return CyclineCertificate(True, start, tuple(seen), None)

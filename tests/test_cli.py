@@ -322,7 +322,8 @@ def test_undecided_hypotheses_make_the_verdict_conditional(
     # and so a lattice without any group search
     report = run_analysis(capped_odometer_tables.graph,
                           capped_odometer_tables)
-    assert "cap 1" in report["hypotheses"]["error"]
+    assert report["hypotheses"]["error"] == (
+        "restriction closure exceeds cap max_closure=1 (reached 2 states)")
     assert report["periodicity"]["exact"]
     assert report["kms"]["verdict"] == "unique KMS state"
     assert report["kms"]["conditional"]
@@ -376,7 +377,8 @@ def test_capped_lattice_error_is_reused_by_kms(
     calls = _count_stage_calls(monkeypatch)
     report = run_analysis(capped.graph, capped)
     assert report["capped"]
-    assert "cap 3" in report["periodicity"]["error"]
+    assert report["periodicity"]["error"] == (
+        "word ball exceeds cap max_closure=3 (reached 4 states)")
     assert report["kms"] == {"error": report["periodicity"]["error"]}
     assert calls["periodicity_group"] == 1
 

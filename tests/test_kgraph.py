@@ -247,6 +247,44 @@ def test_lambda_min_returns_a_fresh_list(odo22):
     assert g.lambda_min(mu, nu) == expected
 
 
+def reference_lambda_min(g, mu, nu):
+    """Every extension of mu to degree d(mu) v d(nu) whose head of
+    degree d(nu) is nu, enumerated in full."""
+    if mu.range_vertex != nu.range_vertex:
+        return []
+    top = join_degrees(mu.degree, nu.degree)
+    out = []
+    for alpha in g.paths_of_degree(sub_degrees(top, mu.degree),
+                                   from_vertex=mu.source):
+        head, beta = g.split_front(g.compose(mu, alpha), nu.degree)
+        if head == nu:
+            out.append((alpha, beta))
+    return out
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("odo23", (2, 2)), ("flip_square_system", (2, 2)), ("kat2v", (3,)),
+    ("odo222", (1, 1, 1))])
+def test_lambda_min_matches_full_enumeration(name, bound, request):
+    system = (build_odometer((2, 2, 2)) if name == "odo222"
+              else request.getfixturevalue(name))
+    # a fresh graph, so that no pair is answered from the memo
+    g = KGraph(system.graph.k, system.graph.num_vertices, system.graph.edges,
+               system.graph.squares)
+    paths = _paths_up_to(g, bound)
+    found = refuted = 0
+    for mu, nu in itertools.product(paths, paths):
+        expected = reference_lambda_min(g, mu, nu)
+        assert g.lambda_min(mu, nu) == expected
+        found += bool(expected)
+        refuted += g.meet_tails(mu, nu) is None
+    assert found and refuted
+    # the Katsura pair has two vertices, so some pairs differ in range
+    assert (g.num_vertices > 1) == any(
+        mu.range_vertex != nu.range_vertex and g.meet_tails(mu, nu) is None
+        for mu in paths for nu in paths)
+
+
 def test_vertex_matrix_counts_match_paths(odo24, fibonacci_graph):
     # entry (v, w) of the product of coordinate matrices counts vLambda^p w
     for system, p in ((odo24, (2, 1)), (fibonacci_graph, (3,))):

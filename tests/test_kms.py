@@ -9,15 +9,17 @@ from ssgraph.algebra import add, adjoint, element, generator_unitary, \
     identity_element, monomial, multiply, periodicity_unitary, scale, \
     vertex_projection
 from ssgraph import kms
+from ssgraph.cli import emit_model, parse_model
 from ssgraph.errors import ClosureExceeded, NotInLattice, SimplexEmpty
 from ssgraph.kgraph import KGraph
 from ssgraph.kms import KmsReport, character_trace, evaluate, gauge_scale, \
     haar_trace, make_kms_state, mixture_trace, restrict_to_diagonal, \
     simplex_summary, trace_value, verify_kms
-from ssgraph.models import build_katsura, odometer_path
+from ssgraph.models import build_katsura, build_odometer, odometer_path
 from ssgraph.periodicity import PeriodicityLattice, periodicity_group
 from ssgraph.perron import pf_state_value, spectral_data
 from tests.conftest import bench_model
+from tests.test_hypotheses import permuted
 
 
 def small_random_element(system, rng, size=3):
@@ -337,6 +339,44 @@ def test_each_product_cell_is_composed_once(odo22, monkeypatch):
     monkeypatch.setattr(KGraph, "compose", counted)
     verify_kms(state, sample_count=500, seed=7)
     assert len(calls) < 3000
+
+
+def test_cycline_search_runs_once_per_reduced_state(monkeypatch):
+    # asking is_cycline once per monomial, through the system memo,
+    # runs 1,248 searches here, 431 of them distinct
+    system = build_odometer((2, 2))
+    state = make_kms_state(system)
+    system.cycline_memo.clear()
+    starts = []
+    search = kms.cycline_search
+
+    def counted(system, start, *args):
+        starts.append(start)
+        return search(system, start, *args)
+
+    monkeypatch.setattr(kms, "cycline_search", counted)
+    verify_kms(state, sample_count=500, seed=1)
+    assert not system.cycline_memo
+    assert len(starts) == len(set(starts)) == 431
+
+
+@pytest.mark.parametrize("model,trace,expected", [
+    (([[2, 1], [1, 2]], [[1, 1], [1, 1]]), haar_trace(),
+     (True, "0.0", 4096, 48)),
+    (([[3, 1], [1, 2]], [[-2, 1], [1, 1]]), haar_trace(),
+     (True, "1.3877787807814457e-17", 15129, 165)),
+    ((2, 2), character_trace([0.3]), (True, "0.0", 26244, 399))],
+    ids=["kat2v", "kat-3121", "odo22-character"])
+def test_block_check_survives_relabelling(model, trace, expected):
+    system = (build_odometer(model) if isinstance(model[0], int)
+              else build_katsura(*model))
+    doc = emit_model(system.graph, system)
+    for seed in (None, 1, 2, 3):
+        moved = doc if seed is None else permuted(doc, random.Random(seed))
+        report = verify_kms(make_kms_state(parse_model(moved)[1], trace),
+                            sample_count=0)
+        assert (report.ok, repr(report.max_deviation), report.checked,
+                report.nonzero) == expected
 
 
 def test_sample_draws_are_built_once_per_index(monkeypatch):

@@ -113,6 +113,16 @@ def test_state_cap_raises(odo22):
         is_cycline(odo22, mu, odo22.identity, nu, state_cap=1)
 
 
+def test_state_cap_names_cap_limit_and_reach(odo22):
+    mu = odometer_path(odo22, (2, 0), 0)
+    nu = odometer_path(odo22, (0, 2), 0)
+    odo22.cycline_memo.clear()
+    with pytest.raises(ClosureExceeded) as err:
+        is_cycline(odo22, mu, odo22.identity, nu, state_cap=2)
+    assert str(err.value) == ("cycline fixpoint exceeds cap state_cap=2 "
+                              "(reached 3 states)")
+
+
 def test_cycline_memo_is_reused(odo24):
     mu = odometer_path(odo24, (1, 0), 0)
     odo24.cycline_memo.clear()
