@@ -229,11 +229,16 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     local to the call, the ids of mu, (g, nu), (mu, g) and nu: a
     middle (the terms without the outer legs) is computed once per
     distinct (g, nu) and (mu', h), and each distinct (mu, term, nu')
-    cell is composed and evaluated once.  A monomial is evaluated as
-    ``evaluate`` does, except that the cycline verdict comes from
-    caches local to the call: one ``split_front`` per (path, meet
-    degree) and one fixpoint search per reduced state, leaving
-    ``system.cycline_memo`` untouched.  A pair whose products have
+    cell is composed and evaluated once.  Before its middle is built,
+    xy is refuted by one verdict per pair of path ids: it has no term
+    when x's nu and y's mu differ at their degree meet (as in
+    ``lambda_min``), and no cycline term when x's mu and y's nu do, as
+    a term (mu.a, h, nu'.b) has its degree meet above c, that of mu
+    and nu', and its legs' heads at c are theirs.  A monomial is
+    evaluated as ``evaluate`` does, except that the cycline verdict
+    comes from caches local to the call: one ``split_front`` per
+    (path, meet degree) and one fixpoint search per reduced state,
+    leaving ``system.cycline_memo`` untouched.  A pair whose products have
     no nonzero value is counted as 0 = 0 without summing.  The sums
     take ``evaluate``'s terms in its order with ``multiply``'s
     coefficients, so the result equals ``evaluate(multiply(x, y))``
@@ -275,6 +280,15 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     # search per reduced state, cached for this call only
     split = functools.cache(graph.split_front)
     verdict = functools.cache(lambda s: cycline_search(system, s).verdict)
+    met: dict = {}
+
+    def meets(a, b, p, q):
+        # whether paths p and q, of ids a and b, agree at the meet of
+        # their degrees
+        hit = met.get(a * span + b)
+        if hit is None:
+            hit = met[a * span + b] = graph.meet_tails(p, q, split) is not None
+        return hit
 
     def evaluate_monomial(key):
         # _evaluate_monomial, with is_cycline's source check
@@ -303,12 +317,20 @@ def verify_kms(state: KmsState, sample_count: int = 500,
         # the nonzero values of xy's monomials in ``multiply``'s order;
         # distinct extensions give distinct keys (unique factorization),
         # so each key carries coefficient one, as in ``multiply``
+        # a term is cycline only if x's mu and y's nu agree at their
+        # degree meet, and exists only if x's nu and y's mu do
+        hit = met.get(x[0] * span + y[3])
+        if hit is None:
+            hit = meets(x[0], y[3], x[4].mu, y[4].nu)
+        if not hit:
+            return []
         inner = x[1] * span + y[2]
         middle = middles.get(inner)
         if middle is None:
             xm, ym = x[4], y[4]
             middle = middles[inner] = tuple(map(term_id, (
-                algebra._product_middle(system, xm.g, xm.nu, ym.mu, ym.g))))
+                algebra._product_middle(system, xm.g, xm.nu, ym.mu, ym.g)
+                if meets(x[3], y[0], xm.nu, ym.mu) else ())))
         out = []
         for t in middle:
             cell = (t * span + x[0]) * span + y[3]

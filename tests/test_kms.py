@@ -4,7 +4,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ssgraph import algebra
 from ssgraph.algebra import add, adjoint, element, generator_unitary, \
     identity_element, monomial, multiply, periodicity_unitary, scale, \
     vertex_projection
@@ -358,6 +360,92 @@ def test_cycline_search_runs_once_per_reduced_state(monkeypatch):
     verify_kms(state, sample_count=500, seed=1)
     assert not system.cycline_memo
     assert len(starts) == len(set(starts)) == 431
+
+
+def check_meet_refutations(system, state, rng, count):
+    """On ``count`` pairs drawn from the (2,...,2) block: when x's mu and
+    y's nu differ at their degree meet, ``meet_tails`` refutes every
+    term of xy and the state vanishes on it; when x's nu and y's mu
+    do, xy has no minimal common extension.  Returns how many pairs
+    each refutation caught."""
+    graph = system.graph
+    block = kms._MonomialBlock(system, (2,) * graph.k,
+                               system.generator_closure())
+    outer = inner = 0
+    for _ in range(count):
+        x, y = rng.choice(block), rng.choice(block)
+        if graph.meet_tails(x.mu, y.nu) is None:
+            outer += 1
+            xy = multiply(monomial(system, *x), monomial(system, *y))
+            assert all(graph.meet_tails(t.mu, t.nu) is None
+                       for t in xy.terms)
+            if state is not None:
+                assert evaluate(state, xy) == 0
+        if graph.meet_tails(x.nu, y.mu) is None:
+            inner += 1
+            assert graph.lambda_min(x.nu, y.mu) == []
+    return outer, inner
+
+
+@pytest.mark.parametrize("name", ["odo22", "kat21", "kat2v", "swap_system",
+                                  "flip_square_system"])
+def test_meet_refutations_are_exact(name, request):
+    # swap_system has no state, so only its terms are checked
+    system = request.getfixturevalue(name)
+    state = make_kms_state(system)
+    outer, inner = check_meet_refutations(
+        system, state if state.exists else None, random.Random(13), 300)
+    assert outer and inner
+
+
+@st.composite
+def generated_systems(draw):
+    """An odometer with sizes in {2,3}^k, k <= 2, or a Katsura pair of
+    at most two vertices that ``_validate_katsura`` accepts."""
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.sampled_from([2, 3]), min_size=1,
+                              max_size=2))
+        return build_odometer(tuple(sizes))
+    size = draw(st.integers(1, 2))
+    t_matrix = [[draw(st.integers(2, 3) if v == w else st.integers(0, 2))
+                 for w in range(size)] for v in range(size)]
+    b_matrix = [[draw(st.sampled_from(
+        [b for b in range(-t, t + 1) if b] or [0])) for t in row]
+        for row in t_matrix]
+    return build_katsura(t_matrix, b_matrix)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(generated_systems(), st.randoms(use_true_random=False))
+def test_meet_refutations_are_exact_on_generated_models(system, rng):
+    check_meet_refutations(system, None, rng, 20)
+
+
+@pytest.mark.parametrize("name,limit", [("odo22", 400), ("kat2v", 200)])
+def test_refuted_products_build_no_middle(name, limit, request,
+                                          monkeypatch):
+    # building every product's middle runs 1,249 and 1,017 times here
+    state = make_kms_state(request.getfixturevalue(name))
+    calls = []
+    middle = algebra._product_middle
+
+    def counted(*args):
+        calls.append(1)
+        return middle(*args)
+
+    monkeypatch.setattr(algebra, "_product_middle", counted)
+    verify_kms(state, sample_count=500, seed=1)
+    assert len(calls) < limit
+
+
+def test_right_side_is_scaled_per_term():
+    # right sides with several nonzero terms and gauge factors that are
+    # powers of 3: scaling their sum instead reads 5.551115123125783e-17
+    state = make_kms_state(build_odometer((3, 3)),
+                           trace=character_trace([0.05]))
+    report = verify_kms(state, sample_count=0)
+    assert (report.ok, repr(report.max_deviation), report.checked,
+            report.nonzero) == (True, "1.3877787807814457e-17", 262144, 1158)
 
 
 @pytest.mark.parametrize("model,trace,expected", [
