@@ -63,12 +63,14 @@ class GeneratorTable:
 @dataclass(frozen=True)
 class ActionCaps:
     """Caps that raise ClosureExceeded: ``max_closure`` on closures and
-    word balls, ``max_word_length`` on restriction words, and
-    ``max_pair_states`` on the words walked to canonicalise one word."""
+    word balls, ``max_word_length`` on restriction words,
+    ``max_pair_states`` on the words walked to canonicalise one word,
+    and ``state_cap`` on the states of one cycline fixpoint search."""
 
     max_closure: int = 4096
     max_word_length: int = 64
     max_pair_states: int = 4096
+    state_cap: int = 250_000
 
 
 class ActionSystem:
@@ -103,7 +105,6 @@ class ActionSystem:
         self._by_signature: dict[tuple, Word] = {}
         # canonicalised first, the identity represents its own class
         self._canonical_key(())
-        self.cycline_memo: dict = {}
 
     # -- raw word operations --------------------------------------------
 

@@ -208,22 +208,25 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 def _monomial_product(system, left: Monomial, right: Monomial):
     """The product monomials (mu.head, mid, nu.pulled) around the
     middle of ``_product_middle``."""
-    compose = system.graph.compose
+    graph = system.graph
+    compose = graph.compose
     return [Monomial(compose(left.mu, head), mid, compose(right.nu, pulled))
             for head, mid, pulled in _product_middle(
-                system, left.g, left.nu, right.mu, right.g)]
+                system, left.g, graph.lambda_min(left.nu, right.mu),
+                right.g)]
 
 
-def _product_middle(system, g, nu, mu, h):
+def _product_middle(system, g, extensions, h):
     """The part of (mu0, g, nu) * (mu, h, nu1) that does not depend on
-    the outer legs: per (lam, omega) in ``lambda_min(nu, mu)``, in its
-    order, the triple (g.lam, g|lam * h|(h^-1.omega), h^-1.omega).
+    the outer legs, given ``extensions = lambda_min(nu, mu)``: per
+    (lam, omega) in it, in its order, the triple
+    (g.lam, g|lam * h|(h^-1.omega), h^-1.omega).
 
     The source of ``compose(p, q)`` is the source of q, so the
     monomial condition of each product term is checked here."""
     h_inv = system.inverse(h)
     out = []
-    for lam, omega in system.graph.lambda_min(nu, mu):
+    for lam, omega in extensions:
         head = system.act_path(g, lam)
         pulled = system.act_path(h_inv, omega)
         mid = system.multiply(system.restrict_path(g, lam),

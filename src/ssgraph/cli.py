@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import algebra, kms
@@ -385,6 +386,17 @@ def _count(text: str) -> int:
     return count
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return tol
+
+
 def _load_validated(path: str):
     data = _read_document(path)
     return parse_model(data, validate=True)
@@ -405,9 +417,9 @@ def main(argv=None) -> int:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", dest="out")
     search = argparse.ArgumentParser(add_help=False, parents=[output])
-    search.add_argument("--box", type=int, default=4, help=BOX_HELP)
-    search.add_argument("--ball", type=int, default=3, help=BALL_HELP)
-    search.add_argument("--tol", type=float, default=1e-9)
+    search.add_argument("--box", type=_count, default=4, help=BOX_HELP)
+    search.add_argument("--ball", type=_count, default=3, help=BALL_HELP)
+    search.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p_gen = sub.add_parser("gen", help="emit a built-in model file")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)

@@ -110,7 +110,6 @@ class KGraph:
         for row in self.edges:
             for e in row:
                 self._edges_from[e.color][e.range_vertex].append(e)
-        self._lambda_min_memo: dict[tuple[Path, Path], tuple] = {}
 
     # -- basic access ---------------------------------------------------
 
@@ -285,32 +284,27 @@ class KGraph:
         nu_head, beta = split(nu, common)
         return (alpha, beta) if mu_head == nu_head else None
 
-    def lambda_min(self, mu: Path, nu: Path):
+    def lambda_min(self, mu: Path, nu: Path, split=None):
         """Minimal common extensions ``[(alpha, beta)]`` with
         ``mu.alpha == nu.beta`` of degree ``d(mu) v d(nu)``.
 
         By unique factorisation they are those of the ``meet_tails``:
         none when the heads differ, else the extensions of mu's tail.
-        The set is a pure function of (mu, nu), so it is memoised on the
-        graph; each call returns a fresh list.  The memo holds one entry
-        per distinct pair passed in, e.g. at most the square of the
-        number of paths of degree <= (2,...,2) under ``verify_kms``.
+        ``split`` is passed on to ``meet_tails``.  Nothing is cached;
+        each call returns a new list.
         """
-        key = (mu, nu)
-        hit = self._lambda_min_memo.get(key)
-        if hit is None:
-            out = []
-            tails = self.meet_tails(mu, nu)
-            if tails is not None:
-                alpha0, beta0 = tails
-                for alpha in self.paths_of_degree(beta0.degree,
-                                                  from_vertex=mu.source):
-                    head, beta = self.split_front(
-                        self.compose(alpha0, alpha), beta0.degree)
-                    if head == beta0:
-                        out.append((alpha, beta))
-            hit = self._lambda_min_memo[key] = tuple(out)
-        return list(hit)
+        tails = self.meet_tails(mu, nu, split)
+        if tails is None:
+            return []
+        alpha0, beta0 = tails
+        out = []
+        for alpha in self.paths_of_degree(beta0.degree,
+                                          from_vertex=mu.source):
+            head, beta = self.split_front(self.compose(alpha0, alpha),
+                                          beta0.degree)
+            if head == beta0:
+                out.append((alpha, beta))
+        return out
 
     # -- graph-level data ----------------------------------------------
 

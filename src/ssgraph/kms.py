@@ -14,6 +14,7 @@ import bisect
 import cmath
 import functools
 import itertools
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -45,14 +46,21 @@ def haar_trace() -> TraceSpec:
     return TraceSpec("haar")
 
 
+def _finite(values) -> tuple[float, ...]:
+    out = tuple(float(t) for t in values)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"trace coordinates and weights must be finite, "
+                         f"got {out}")
+    return out
+
+
 def character_trace(theta) -> TraceSpec:
-    return TraceSpec("character", theta=tuple(float(t) for t in theta))
+    return TraceSpec("character", theta=_finite(theta))
 
 
 def mixture_trace(weights) -> TraceSpec:
-    rows = tuple((float(w), tuple(float(t) for t in theta))
-                 for w, theta in weights)
-    total = sum(w for w, _ in rows)
+    rows = tuple((float(w), _finite(theta)) for w, theta in weights)
+    total = sum(_finite(w for w, _ in rows))
     if any(w < 0 for w, _ in rows) or abs(total - 1.0) > 1e-9:
         raise ValueError("mixture weights must be a convex combination")
     return TraceSpec("mixture", weights=rows)
@@ -229,16 +237,16 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     local to the call, the ids of mu, (g, nu), (mu, g) and nu: a
     middle (the terms without the outer legs) is computed once per
     distinct (g, nu) and (mu', h), and each distinct (mu, term, nu')
-    cell is composed and evaluated once.  Before its middle is built,
-    xy is refuted by one verdict per pair of path ids: it has no term
-    when x's nu and y's mu differ at their degree meet (as in
-    ``lambda_min``), and no cycline term when x's mu and y's nu do, as
-    a term (mu.a, h, nu'.b) has its degree meet above c, that of mu
-    and nu', and its legs' heads at c are theirs.  A monomial is
-    evaluated as ``evaluate`` does, except that the cycline verdict
-    comes from caches local to the call: one ``split_front`` per
-    (path, meet degree) and one fixpoint search per reduced state,
-    leaving ``system.cycline_memo`` untouched.  A pair whose products have
+    cell is composed and evaluated once.  xy has no cycline term when
+    x's mu and y's nu differ at their degree meet, one verdict per pair
+    of path ids, as a term (mu.a, h, nu'.b) has its degree meet above
+    c, that of mu and nu', and its legs' heads at c are theirs.  Its
+    terms come from one ``lambda_min`` per pair of x's nu and y's mu
+    ids, and a middle is built only when that list is nonempty.  A
+    monomial is evaluated as ``evaluate`` does, except that the
+    cycline verdict comes from caches local to the call: one
+    ``split_front`` per (path, meet degree) and one fixpoint search
+    per reduced state.  A pair whose products have
     no nonzero value is counted as 0 = 0 without summing.  The sums
     take ``evaluate``'s terms in its order with ``multiply``'s
     coefficients, so the result equals ``evaluate(multiply(x, y))``
@@ -270,25 +278,19 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     mugs: dict = {}
     terms: dict = {}
     term_list = []
+    extensions: dict = {}
     middles: dict = {}
     lefts: dict = {}
     rights: dict = {}
     cells: dict = {}
     values: dict = {}
     compose = graph.compose
-    # cycline verdicts: one split per (path, degree) and one fixpoint
-    # search per reduced state, cached for this call only
+    # one split per (path, degree), for the meets, the extensions and
+    # the cycline verdicts, and one fixpoint search per reduced state,
+    # cached for this call only
     split = functools.cache(graph.split_front)
     verdict = functools.cache(lambda s: cycline_search(system, s).verdict)
     met: dict = {}
-
-    def meets(a, b, p, q):
-        # whether paths p and q, of ids a and b, agree at the meet of
-        # their degrees
-        hit = met.get(a * span + b)
-        if hit is None:
-            hit = met[a * span + b] = graph.meet_tails(p, q, split) is not None
-        return hit
 
     def evaluate_monomial(key):
         # _evaluate_monomial, with is_cycline's source check
@@ -318,19 +320,25 @@ def verify_kms(state: KmsState, sample_count: int = 500,
         # distinct extensions give distinct keys (unique factorization),
         # so each key carries coefficient one, as in ``multiply``
         # a term is cycline only if x's mu and y's nu agree at their
-        # degree meet, and exists only if x's nu and y's mu do
-        hit = met.get(x[0] * span + y[3])
+        # degree meet
+        outer = x[0] * span + y[3]
+        hit = met.get(outer)
         if hit is None:
-            hit = meets(x[0], y[3], x[4].mu, y[4].nu)
+            hit = met[outer] = graph.meet_tails(x[4].mu, y[4].nu,
+                                                split) is not None
         if not hit:
             return []
         inner = x[1] * span + y[2]
         middle = middles.get(inner)
         if middle is None:
             xm, ym = x[4], y[4]
+            legs = x[3] * span + y[0]
+            ext = extensions.get(legs)
+            if ext is None:
+                ext = extensions[legs] = graph.lambda_min(xm.nu, ym.mu, split)
             middle = middles[inner] = tuple(map(term_id, (
-                algebra._product_middle(system, xm.g, xm.nu, ym.mu, ym.g)
-                if meets(x[3], y[0], xm.nu, ym.mu) else ())))
+                algebra._product_middle(system, xm.g, ext, ym.g)
+                if ext else ())))
         out = []
         for t in middle:
             cell = (t * span + x[0]) * span + y[3]

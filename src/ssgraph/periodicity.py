@@ -13,7 +13,8 @@ reachable set doubles as a certificate.  ``KGraph.meet_tails`` gives
 the reduced state (g between the tails of mu and nu past the meet of
 their degrees), or refutes the triple when the heads differ;
 ``cycline_search`` runs the fixpoint from a reduced state, so a caller
-meeting one state many times can search it once.
+meeting one state many times can search it once.  Nothing is cached
+here: a search visits at most ``ActionCaps.state_cap`` states.
 
 The periodicity group Per lies inside K = {z : rho ** z == 1}.  When
 the radii carry an integer certificate, K is computed exactly and its
@@ -37,8 +38,6 @@ from .kgraph import Path, join_degrees
 from .perron import (PerronData, rho_kernel_lattice, rho_power_is_one,
                      spectral_data)
 
-DEFAULT_STATE_CAP = 250_000
-
 
 class CyclineState(NamedTuple):
     """A comparison state of the fixpoint; a named tuple, so the
@@ -60,29 +59,24 @@ class CyclineCertificate:
     failure: tuple[CyclineState, "Edge"] | None
 
 
-def is_cycline(system, mu: Path, g, nu: Path,
-               state_cap: int = DEFAULT_STATE_CAP) -> CyclineCertificate:
-    """Decide whether (mu, g, nu) is a cycline triple."""
+def is_cycline(system, mu: Path, g, nu: Path) -> CyclineCertificate:
+    """Decide whether (mu, g, nu) is a cycline triple: the source
+    check, the reduction by ``meet_tails`` and ``cycline_search``."""
     if system.act_vertex(g, nu.source) != mu.source:
         raise PreconditionViolated(
             "source of mu must be the g-image of the source of nu")
-    memo_key = (mu, g.key, nu)
-    hit = system.cycline_memo.get(memo_key)
-    if hit is not None:
-        return hit
     tails = system.graph.meet_tails(mu, nu)
-    cert = CyclineCertificate(False, None, (), None) if tails is None \
-        else cycline_search(system, CyclineState(tails[0], g, tails[1]),
-                            state_cap)
-    system.cycline_memo[memo_key] = cert
-    return cert
+    if tails is None:
+        return CyclineCertificate(False, None, (), None)
+    return cycline_search(system, CyclineState(tails[0], g, tails[1]))
 
 
-def cycline_search(system, start: CyclineState,
-                   state_cap: int = DEFAULT_STATE_CAP) -> CyclineCertificate:
+def cycline_search(system, start: CyclineState) -> CyclineCertificate:
     """The fixpoint from a reduced state, whose degrees have disjoint
-    support: a breadth-first search of at most ``state_cap`` states."""
+    support: a breadth-first search of at most ``system.caps.state_cap``
+    states."""
     graph = system.graph
+    state_cap = system.caps.state_cap
     seen = {start}
     queue = deque([start])
     while queue:
@@ -123,27 +117,19 @@ def cycline_partner(system, mu: Path, g, n) -> Path | None:
     return candidate
 
 
-def cycline_triples(system, m, n, elements,
-                    state_cap: int = DEFAULT_STATE_CAP):
-    """All cycline triples (mu, g, nu) with d(mu) = m, d(nu) = n and g
-    drawn from ``elements``.  Complete for the given element set: for
-    fixed (mu, g) the partner nu is forced, so testing it is exhaustive."""
-    graph = system.graph
-    m = tuple(m)
-    n = tuple(n)
-    out = []
-    for mu in graph.paths_of_degree(m):
+def cycline_triples(system, m, n, elements):
+    """Yield every cycline triple (mu, g, nu) with d(mu) = m, d(nu) = n
+    and g drawn from ``elements``.  Complete for the given element set:
+    for fixed (mu, g) the partner nu is forced, so testing it is
+    exhaustive."""
+    for mu in system.graph.paths_of_degree(tuple(m)):
         for g in elements:
             nu = cycline_partner(system, mu, g, n)
-            if nu is None:
-                continue
-            if is_cycline(system, mu, g, nu, state_cap).verdict:
-                out.append((mu, g, nu))
-    return out
+            if nu is not None and is_cycline(system, mu, g, nu).verdict:
+                yield mu, g, nu
 
 
-def sigma_contains(system, p, q, g, v,
-                   state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def sigma_contains(system, p, q, g, v) -> bool:
     """Whether sigma^p(x) = sigma^q(g.x) for every infinite path x out
     of v, reduced to cycline checks over the degree p-join-q fiber."""
     graph = system.graph
@@ -154,7 +140,7 @@ def sigma_contains(system, p, q, g, v,
         mu = graph.segment(system.act_path(g, kappa), q, top)
         h = system.restrict_path(g, kappa)
         nu = graph.segment(kappa, p, top)
-        if not is_cycline(system, mu, h, nu, state_cap).verdict:
+        if not is_cycline(system, mu, h, nu).verdict:
             return False
     return True
 
@@ -193,8 +179,7 @@ class AperiodicityVerdict:
 
 def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
                       perron_data: PerronData | None = None,
-                      tol: float = 1e-9,
-                      state_cap: int = DEFAULT_STATE_CAP) -> PeriodicityLattice:
+                      tol: float = 1e-9) -> PeriodicityLattice:
     """The periodicity group, exactly whenever ``rho_int`` is set.
 
     Per is a subgroup of the exact kernel K.  K = {0} settles it at
@@ -209,8 +194,7 @@ def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
     data = perron_data if perron_data is not None else spectral_data(
         system.graph)
     if data.rho_int is None:
-        return box_scan_group(system, box_radius, ball_radius, data, tol,
-                              state_cap)
+        return box_scan_group(system, box_radius, ball_radius, data, tol)
     kernel = rho_kernel_lattice(data, box_radius)
 
     def lattice(basis, exact, vectors, elements):
@@ -224,27 +208,26 @@ def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
     except ClosureExceeded:
         elements, source = _ball(system, ball_radius), "ball"
     members = [b for b in kernel
-               if _signed_member(system, b, elements, state_cap)]
+               if _signed_member(system, b, elements)]
     if len(members) == len(kernel):
         return lattice(kernel, True, "kernel", source)
     found = hnf_basis(members + list(_box_scan(
-        system, data, box_radius, elements, tol, state_cap)), system.graph.k)
+        system, data, box_radius, elements, tol)), system.graph.k)
     if source == "nucleus" and len(found) == len(kernel):
-        return lattice(_complete_cosets(system, kernel, found, elements,
-                                        state_cap), True, "kernel", source)
+        return lattice(_complete_cosets(system, kernel, found, elements),
+                       True, "kernel", source)
     return lattice(found, False, "box", source)
 
 
 def box_scan_group(system, box_radius: int = 4, ball_radius: int = 3,
                    perron_data: PerronData | None = None,
-                   tol: float = 1e-9,
-                   state_cap: int = DEFAULT_STATE_CAP) -> PeriodicityLattice:
+                   tol: float = 1e-9) -> PeriodicityLattice:
     """The members of the box with the ball as elements; relative to
     (box, ball).  The path for float radii, and the tests' oracle."""
     data = perron_data if perron_data is not None else spectral_data(
         system.graph)
     basis = _box_scan(system, data, box_radius, _ball(system, ball_radius),
-                      tol, state_cap)
+                      tol)
     return PeriodicityLattice(len(basis), basis, box_radius, ball_radius)
 
 
@@ -252,7 +235,7 @@ def _ball(system, ball_radius):
     return system.restriction_closure(system.word_ball(ball_radius))
 
 
-def _box_scan(system, data, box_radius, elements, tol, state_cap):
+def _box_scan(system, data, box_radius, elements, tol):
     """Hermite basis of the box vectors that pass ``rho ** z == 1`` and
     have a cycline triple over ``elements``.  Each survivor is tested at
     its minimal degree pair z+ = z v 0, z- = (-z) v 0, which suffices
@@ -266,7 +249,7 @@ def _box_scan(system, data, box_radius, elements, tol, state_cap):
             continue
         if not rho_power_is_one(data, z, tol):
             continue
-        if _per_member(system, z, elements, state_cap):
+        if _per_member(system, z, elements):
             members.append(z)
     member_set = set(members)
     for z in members:
@@ -282,7 +265,7 @@ def _box_scan(system, data, box_radius, elements, tol, state_cap):
     return hnf_basis(members, graph.k)
 
 
-def _complete_cosets(system, kernel, found, elements, state_cap):
+def _complete_cosets(system, kernel, found, elements):
     """Per, given that ``found`` spans a full-rank sublattice L of K.
 
     Per is a group containing L, so a coset of K/L meets Per exactly
@@ -298,7 +281,7 @@ def _complete_cosets(system, kernel, found, elements, state_cap):
         z = tuple(sum(ci * b[j] for ci, b in zip(c, kernel))
                   for j in range(system.graph.k))
         if any(c) and not lattice_contains(hnf_basis(members, len(z)), z) \
-                and _signed_member(system, z, elements, state_cap):
+                and _signed_member(system, z, elements):
             members.append(z)
     return hnf_basis(members, system.graph.k)
 
@@ -307,37 +290,28 @@ def _negate(z):
     return tuple(-v for v in z)
 
 
-def _signed_member(system, z, elements, state_cap) -> bool:
+def _signed_member(system, z, elements) -> bool:
     """Membership of z, checked against that of -z: Per is a group."""
-    member = _per_member(system, z, elements, state_cap)
-    if member != _per_member(system, _negate(z), elements, state_cap):
+    member = _per_member(system, z, elements)
+    if member != _per_member(system, _negate(z), elements):
         raise BoxClosureViolation(
             f"{z} and its negative disagree on membership")
     return member
 
 
-def _per_member(system, z, elements, state_cap) -> bool:
-    graph = system.graph
+def _per_member(system, z, elements) -> bool:
     p = tuple(max(v, 0) for v in z)
     q = tuple(max(-v, 0) for v in z)
-    for mu in graph.paths_of_degree(p):
-        for g in elements:
-            nu = cycline_partner(system, mu, g, q)
-            if nu is None:
-                continue
-            if is_cycline(system, mu, g, nu, state_cap).verdict:
-                return True
-    return False
+    return next(cycline_triples(system, p, q, elements), None) is not None
 
 
 def is_g_aperiodic(system, box_radius: int = 4, ball_radius: int = 3,
                    perron_data: PerronData | None = None,
-                   tol: float = 1e-9,
-                   state_cap: int = DEFAULT_STATE_CAP) -> AperiodicityVerdict:
+                   tol: float = 1e-9) -> AperiodicityVerdict:
     """Aperiodicity verdict: the action is G-aperiodic when Per = {0}.
     A nontrivial lattice refutes aperiodicity outright; a trivial one
     settles it when ``lattice.exact``, and otherwise only says that no
     periodicity was found within (box, ball)."""
     lattice = periodicity_group(system, box_radius, ball_radius,
-                                perron_data, tol, state_cap)
+                                perron_data, tol)
     return AperiodicityVerdict(lattice.rank == 0, lattice)

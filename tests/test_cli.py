@@ -12,6 +12,7 @@ from ssgraph.cli import EXIT_CAPPED, EXIT_INVALID, EXIT_OK, MODEL_SCHEMA, \
     REPORT_SCHEMA, canonical_bytes, emit_model, main, parse_model, \
     run_analysis
 from ssgraph.errors import ParseError, ValidationError
+from ssgraph.models import build_odometer
 
 from tests.conftest import bench_model, make_loops_graph
 
@@ -394,6 +395,15 @@ def test_state_cap_error_is_embedded_in_report(word_odometer22):
         "(reached 2 states)")
 
 
+def test_cycline_cap_error_is_embedded_in_report():
+    capped = build_odometer((2, 2), ActionCaps(state_cap=1))
+    report = run_analysis(capped.graph, capped)
+    assert report["capped"]
+    error = "cycline fixpoint exceeds cap state_cap=1 (reached 2 states)"
+    assert report["periodicity"] == {"error": error}
+    assert report["kms"] == {"error": error}
+
+
 # -- per and kms-eval ----------------------------------------------------
 
 def test_per_reports_lattice(tmp_path, capsys):
@@ -475,6 +485,34 @@ def test_kms_eval_rejects_bad_sample_count(tmp_path, capsys, samples):
     assert stop.value.code == EXIT_INVALID
     assert "--samples: must be an integer at least 0" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--tol", "0", "--tol: must be a positive finite number"),
+    ("--tol", "-1", "--tol: must be a positive finite number"),
+    ("--tol", "nan", "--tol: must be a positive finite number"),
+    ("--tol", "inf", "--tol: must be a positive finite number"),
+    ("--box", "-1", "--box: must be an integer at least 0"),
+    ("--ball", "-1", "--ball: must be an integer at least 0"),
+])
+def test_search_flags_reject_bad_values(tmp_path, capsys, flag, value,
+                                        message):
+    # --tol 0 or below made every model's simplex empty; NaN made it
+    # nonempty and wrote "tol": NaN, which is not JSON
+    model = gen_file(tmp_path, "odo22.json", "gen", "odometer", "--n", "2,2")
+    for verb in ("analyze", "per", "kms-eval"):
+        with pytest.raises(SystemExit) as stop:
+            main([verb, str(model), flag, value])
+        assert stop.value.code == EXIT_INVALID
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trace", ["character:nan", "character:inf",
+                                   "mixture:nan@0.1"])
+def test_kms_eval_rejects_non_finite_traces(tmp_path, capsys, trace):
+    model = gen_file(tmp_path, "odo22.json", "gen", "odometer", "--n", "2,2")
+    assert main(["kms-eval", str(model), "--trace", trace]) == EXIT_INVALID
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_kms_eval_check_cap_exits_3(tmp_path, capsys):

@@ -11,6 +11,7 @@ from ssgraph.algebra import add, adjoint, element, generator_unitary, \
     identity_element, monomial, multiply, periodicity_unitary, scale, \
     vertex_projection
 from ssgraph import kms
+from ssgraph.action import ActionCaps
 from ssgraph.cli import emit_model, parse_model
 from ssgraph.errors import ClosureExceeded, NotInLattice, SimplexEmpty
 from ssgraph.kgraph import KGraph
@@ -66,6 +67,21 @@ def test_mixture_trace_is_convex_combination(odo22):
         mixture_trace([(0.7, [0.0]), (0.7, [0.1])])
     with pytest.raises(ValueError):
         mixture_trace([(-0.5, [0.0]), (1.5, [0.1])])
+
+
+@pytest.mark.parametrize("kind,values", [
+    ("character", [float("nan")]),
+    ("character", [float("inf")]),
+    ("mixture", [(float("nan"), [0.1])]),
+    ("mixture", [(0.5, [float("nan")]), (0.5, [0.1])]),
+    ("mixture", [(float("inf"), [0.0]), (float("-inf"), [0.1])]),
+], ids=["character-nan", "character-inf", "weight-nan", "coordinate-nan",
+        "weights-inf"])
+def test_traces_reject_non_finite_values(kind, values):
+    # a NaN value would make every deviation NaN, which max() ignores
+    make = character_trace if kind == "character" else mixture_trace
+    with pytest.raises(ValueError, match="must be finite"):
+        make(values)
 
 
 # -- state construction and evaluation -----------------------------------
@@ -344,11 +360,10 @@ def test_each_product_cell_is_composed_once(odo22, monkeypatch):
 
 
 def test_cycline_search_runs_once_per_reduced_state(monkeypatch):
-    # asking is_cycline once per monomial, through the system memo,
-    # runs 1,248 searches here, 431 of them distinct
+    # asking is_cycline once per monomial runs 1,248 searches here,
+    # 431 of them distinct
     system = build_odometer((2, 2))
     state = make_kms_state(system)
-    system.cycline_memo.clear()
     starts = []
     search = kms.cycline_search
 
@@ -358,8 +373,16 @@ def test_cycline_search_runs_once_per_reduced_state(monkeypatch):
 
     monkeypatch.setattr(kms, "cycline_search", counted)
     verify_kms(state, sample_count=500, seed=1)
-    assert not system.cycline_memo
     assert len(starts) == len(set(starts)) == 431
+
+
+def test_cycline_cap_bounds_verify_kms():
+    # odometer (2,2) needs more than one fixpoint state per search
+    capped = build_odometer((2, 2), ActionCaps(state_cap=1))
+    state = make_kms_state(capped,
+                           lattice=periodicity_group(build_odometer((2, 2))))
+    with pytest.raises(ClosureExceeded, match="cap state_cap=1 "):
+        verify_kms(state, sample_count=0)
 
 
 def check_meet_refutations(system, state, rng, count):

@@ -104,32 +104,23 @@ def test_precondition_on_vertices(locally_blind_system):
         is_cycline(system, at_v1, system.identity, at_v0)
 
 
-def test_state_cap_raises(odo22):
+def test_state_cap_raises():
     # this balanced pair needs four fixpoint states
-    mu = odometer_path(odo22, (2, 0), 0)
-    nu = odometer_path(odo22, (0, 2), 0)
-    odo22.cycline_memo.clear()
+    system = build_odometer((2, 2), ActionCaps(state_cap=1))
+    mu = odometer_path(system, (2, 0), 0)
+    nu = odometer_path(system, (0, 2), 0)
     with pytest.raises(ClosureExceeded):
-        is_cycline(odo22, mu, odo22.identity, nu, state_cap=1)
+        is_cycline(system, mu, system.identity, nu)
 
 
-def test_state_cap_names_cap_limit_and_reach(odo22):
-    mu = odometer_path(odo22, (2, 0), 0)
-    nu = odometer_path(odo22, (0, 2), 0)
-    odo22.cycline_memo.clear()
+def test_state_cap_names_cap_limit_and_reach():
+    system = build_odometer((2, 2), ActionCaps(state_cap=2))
+    mu = odometer_path(system, (2, 0), 0)
+    nu = odometer_path(system, (0, 2), 0)
     with pytest.raises(ClosureExceeded) as err:
-        is_cycline(odo22, mu, odo22.identity, nu, state_cap=2)
+        is_cycline(system, mu, system.identity, nu)
     assert str(err.value) == ("cycline fixpoint exceeds cap state_cap=2 "
                               "(reached 3 states)")
-
-
-def test_cycline_memo_is_reused(odo24):
-    mu = odometer_path(odo24, (1, 0), 0)
-    odo24.cycline_memo.clear()
-    first = is_cycline(odo24, mu, odo24.identity, mu)
-    assert len(odo24.cycline_memo) == 1
-    second = is_cycline(odo24, mu, odo24.identity, mu)
-    assert second is first
 
 
 def test_partner_extraction(odo24):
@@ -342,7 +333,7 @@ def test_accepted_kernel_vectors_have_complete_fibers():
 def _member_of(basis):
     """A stand-in for the cycline search: z is a member exactly when it
     lies in the lattice spanned by ``basis``."""
-    def member(system, z, elements, state_cap):
+    def member(system, z, elements):
         return lattice_contains(hnf_basis(basis, len(z)), tuple(z))
     return member
 
@@ -354,7 +345,7 @@ def test_cosets_complete_a_full_rank_sublattice(monkeypatch):
                         _member_of([(1, 1), (0, 2)]))
     system = SimpleNamespace(graph=SimpleNamespace(k=2))
     per = ssgraph.periodicity._complete_cosets(
-        system, ((1, 0), (0, 1)), ((2, 0), (0, 2)), [], 0)
+        system, ((1, 0), (0, 1)), ((2, 0), (0, 2)), [])
     assert per == ((1, 1), (0, 2))
 
 
@@ -380,6 +371,6 @@ def test_failing_kernel_basis_with_the_nucleus(monkeypatch, box, basis,
 def test_kernel_vector_without_its_negative_is_a_closure_violation(
         monkeypatch):
     monkeypatch.setattr(ssgraph.periodicity, "_per_member",
-                        lambda system, z, elements, state_cap: z[0] > 0)
+                        lambda system, z, elements: z[0] > 0)
     with pytest.raises(BoxClosureViolation):
         periodicity_group(build_odometer((2, 2)))
