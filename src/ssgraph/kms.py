@@ -230,27 +230,31 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     Each unordered pair {x, y} of the (1,...,1) block costs two
     monomial products, xy and yx, which serve both ordered checks:
     phi(yx) is the left side of (y, x) and, scaled by x's gauge
-    factor, the right side of (x, y).  A sampled pair costs the same
-    two products for its one check.  Samples are drawn as indices into
-    the (2,...,2) block; each distinct index builds its monomial and
-    handle once.  Products run on integer handles
-    local to the call, the ids of mu, (g, nu), (mu, g) and nu: a
-    middle (the terms without the outer legs) is computed once per
-    distinct (g, nu) and (mu', h), and each distinct (mu, term, nu')
-    cell is composed and evaluated once.  xy has no cycline term when
-    x's mu and y's nu differ at their degree meet, one verdict per pair
-    of path ids, as a term (mu.a, h, nu'.b) has its degree meet above
-    c, that of mu and nu', and its legs' heads at c are theirs.  Its
-    terms come from one ``lambda_min`` per pair of x's nu and y's mu
-    ids, and a middle is built only when that list is nonempty.  A
-    monomial is evaluated as ``evaluate`` does, except that the
-    cycline verdict comes from caches local to the call: one
-    ``split_front`` per (path, meet degree) and one fixpoint search
-    per reduced state.  A pair whose products have
-    no nonzero value is counted as 0 = 0 without summing.  The sums
-    take ``evaluate``'s terms in its order with ``multiply``'s
-    coefficients, so the result equals ``evaluate(multiply(x, y))``
-    against ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly."""
+    factor, the right side of (x, y).  Only live pairs are visited:
+    those where x's mu meets y's nu and x's nu meets y's mu, that is,
+    the two paths agree at the meet of their degrees (one verdict per
+    unordered pair of path ids).  Both products of any other pair are
+    empty: a term (mu.a, h, nu'.b) of xy has the heads of x's mu and
+    y's nu' at their degree meet, so it is not cycline unless they
+    meet, and ``lambda_min`` of x's nu and y's mu is empty unless they
+    meet.  The block is bucketed on (mu, nu), and each bucket keeps
+    one sorted list of the block indices in the buckets (c, d) with c
+    meeting its nu and d its mu; x enters that list at its own index,
+    diagonal first, so live pairs run in the order of the full
+    (i, j >= i) loop.  A sampled pair, drawn as an index into the
+    (2,...,2) block, makes the same two tests before its products.
+    Products run on integer handles local to the call, the ids of mu,
+    (g, nu), (mu, g) and nu: a middle (the terms without the outer
+    legs) is built once per distinct (g, nu) and (mu', h) from one
+    ``lambda_min`` per pair of x's nu and y's mu ids, and each distinct
+    (mu, term, nu') cell is composed and evaluated once, with cycline
+    verdicts from caches local to the call: one ``split_front`` per
+    (path, meet degree) and one fixpoint search per reduced state.  A
+    pair whose products have no nonzero value is counted as 0 = 0
+    without summing.  The sums take ``evaluate``'s terms in its order
+    with ``multiply``'s coefficients, so the result equals
+    ``evaluate(multiply(x, y))`` against
+    ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly."""
     _require(state)
     if sample_count < 0:
         raise ValueError(
@@ -315,19 +319,18 @@ def verify_kms(state: KmsState, sample_count: int = 500,
             term_list.append(term)
         return t
 
+    def meets(p, mu, q, nu):
+        # whether paths mu and nu, of ids p and q, agree at their degree meet
+        pair = p * span + q if p < q else q * span + p
+        hit = met.get(pair)
+        if hit is None:
+            hit = met[pair] = graph.meet_tails(mu, nu, split) is not None
+        return hit
+
     def product(x, y):
         # the nonzero values of xy's monomials in ``multiply``'s order;
         # distinct extensions give distinct keys (unique factorization),
         # so each key carries coefficient one, as in ``multiply``
-        # a term is cycline only if x's mu and y's nu agree at their
-        # degree meet
-        outer = x[0] * span + y[3]
-        hit = met.get(outer)
-        if hit is None:
-            hit = met[outer] = graph.meet_tails(x[4].mu, y[4].nu,
-                                                split) is not None
-        if not hit:
-            return []
         inner = x[1] * span + y[2]
         middle = middles.get(inner)
         if middle is None:
@@ -374,11 +377,25 @@ def verify_kms(state: KmsState, sample_count: int = 500,
 
     handles = [handle(x) for x in block]
     scales = [complex(_gauge_factor(state, x[4])) for x in handles]
+    # the block's paths have ids 0, 1, ... in ``paths``'s order; the
+    # buckets are keyed on (mu id, nu id)
+    near = [[q for q, nu in enumerate(paths) if meets(p, mu, q, nu)]
+            for p, mu in enumerate(paths)]
+    buckets: dict = {}
     for i, x in enumerate(handles):
-        xx = product(x, x)
-        if xx:
-            tally(xx, xx, scales[i])
-        for j in range(i + 1, len(handles)):
+        buckets.setdefault((x[0], x[3]), []).append(i)
+    partners = {(a, b): sorted(j for c in near[b] for d in near[a]
+                               for j in buckets.get((c, d), ()))
+                for a, b in buckets}
+    for i, x in enumerate(handles):
+        row = partners[x[0], x[3]]
+        start = bisect.bisect_left(row, i)
+        if start < len(row) and row[start] == i:
+            start += 1
+            xx = product(x, x)
+            if xx:
+                tally(xx, xx, scales[i])
+        for j in row[start:]:
             y = handles[j]
             xy = product(x, y)
             yx = product(y, x)
@@ -402,6 +419,9 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     for _ in range(sample_count):
         hx = draw()
         hy = draw()
+        if not (meets(hx[0], hx[4].mu, hy[3], hy[4].nu)
+                and meets(hx[3], hx[4].nu, hy[0], hy[4].mu)):
+            continue
         xy = product(hx, hy)
         yx = product(hy, hx)
         if xy or yx:

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import dataclasses
 import itertools
 import random
@@ -224,18 +225,42 @@ def reference_monomials(system, bound):
             if mu.source == system.act_vertex(g, nu.source)]
 
 
-def reference_check(state, pairs):
+def reference_check(state, pairs, products=None):
     """(max deviation, checked, nonzero) of phi(xy) = phi(y scale(x))
-    over the pairs, through the public multiply/evaluate/gauge_scale."""
+    over the pairs, through the public multiply/evaluate/gauge_scale.
+
+    ``products`` keeps each pair's xy and y scale(x) under the pair's
+    monomial keys.  Neither product depends on the trace, so states
+    that differ only in their trace can share it."""
+    products = {} if products is None else products
     worst = 0.0
     checked = nonzero = 0
     for x, y in pairs:
-        lhs = evaluate(state, multiply(x, y))
-        rhs = evaluate(state, multiply(y, gauge_scale(state, x)))
+        pair = (*x.terms, *y.terms)
+        both = products.get(pair)
+        if both is None:
+            both = products[pair] = (multiply(x, y),
+                                     multiply(y, gauge_scale(state, x)))
+        lhs = evaluate(state, both[0])
+        rhs = evaluate(state, both[1])
         worst = max(worst, abs(lhs - rhs))
         checked += 1
         nonzero += lhs != 0
     return worst, checked, nonzero
+
+
+def sampled_pairs(big, samples, seed):
+    """The pairs that ``verify_kms`` draws from the (2,...,2) block."""
+    rng = random.Random(seed)
+    return [(rng.choice(big), rng.choice(big)) for _ in range(samples)]
+
+
+def reference_report(block, sampled, tol):
+    """The ``KmsReport`` of the block's and the samples' reference
+    checks."""
+    worst = max(block[0], sampled[0])
+    return KmsReport(worst < tol, worst, block[1] + sampled[1], tol,
+                     block[2] + sampled[2])
 
 
 def reference_trace(kind, rank):
@@ -246,6 +271,13 @@ def reference_trace(kind, rank):
     return mixture_trace([(0.25, [0.1] * rank), (0.75, [0.6] * rank)])
 
 
+@pytest.fixture(scope="module")
+def reference_products():
+    """One ``reference_check`` product table per system, shared by the
+    trace cases of a model."""
+    return collections.defaultdict(dict)
+
+
 # odo23 has a rank-0 lattice, on which every trace is Haar; its block
 # of 288**2 pairs is the slowest, so it runs once
 @pytest.mark.parametrize("name,kind", [
@@ -253,8 +285,10 @@ def reference_trace(kind, rank):
     ("odo23", "haar"),
     ("kat21", "haar"), ("kat21", "character"), ("kat21", "mixture"),
     ("kat2v", "haar")])
-def test_fused_check_matches_reference_loop(name, kind, request):
+def test_fused_check_matches_reference_loop(name, kind, request,
+                                            reference_products):
     system = request.getfixturevalue(name)
+    products = reference_products[system]
     k = system.graph.k
     small = reference_monomials(system, (1,) * k)
     big = reference_monomials(system, (2,) * k)
@@ -262,15 +296,11 @@ def test_fused_check_matches_reference_loop(name, kind, request):
     rank = make_kms_state(system).lattice.rank
     state = make_kms_state(system, trace=reference_trace(kind, rank))
     # the (1,...,1) block does not depend on the seed
-    block = reference_check(state, itertools.product(small, small))
+    block = reference_check(state, itertools.product(small, small), products)
     for seed, samples in ((5, 30), (2024, 45)):
-        rng = random.Random(seed)
         sampled = reference_check(
-            state, [(rng.choice(big), rng.choice(big))
-                    for _ in range(samples)])
-        worst = max(block[0], sampled[0])
-        expected = KmsReport(worst < tol, worst, block[1] + sampled[1],
-                             tol, block[2] + sampled[2])
+            state, sampled_pairs(big, samples, seed), products)
+        expected = reference_report(block, sampled, tol)
         got = verify_kms(state, sample_count=samples, tol=tol, seed=seed)
         assert got == expected
         assert got.max_deviation == expected.max_deviation
@@ -422,15 +452,17 @@ def test_meet_refutations_are_exact(name, request):
 
 
 @st.composite
-def generated_systems(draw):
-    """An odometer with sizes in {2,3}^k, k <= 2, or a Katsura pair of
-    at most two vertices that ``_validate_katsura`` accepts."""
+def generated_systems(draw, max_rank=2, links=(0, 2)):
+    """An odometer with sizes in {2,3}^k, k <= ``max_rank``, or a
+    Katsura pair of at most two vertices that ``_validate_katsura``
+    accepts, with a number of edges in the range ``links`` between two
+    distinct vertices."""
     if draw(st.booleans()):
         sizes = draw(st.lists(st.sampled_from([2, 3]), min_size=1,
-                              max_size=2))
+                              max_size=max_rank))
         return build_odometer(tuple(sizes))
     size = draw(st.integers(1, 2))
-    t_matrix = [[draw(st.integers(2, 3) if v == w else st.integers(0, 2))
+    t_matrix = [[draw(st.integers(2, 3) if v == w else st.integers(*links))
                  for w in range(size)] for v in range(size)]
     b_matrix = [[draw(st.sampled_from(
         [b for b in range(-t, t + 1) if b] or [0])) for t in row]
@@ -442,6 +474,49 @@ def generated_systems(draw):
 @given(generated_systems(), st.randoms(use_true_random=False))
 def test_meet_refutations_are_exact_on_generated_models(system, rng):
     check_meet_refutations(system, None, rng, 20)
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(generated_systems(max_rank=1, links=(1, 1)).filter(
+    lambda system: len(system.graph.edges[0]) <= 6),
+    st.randoms(use_true_random=False))
+def test_fused_check_matches_reference_loop_on_generated_models(system,
+                                                                rng):
+    # rank-1 odometers and strongly connected Katsura pairs, as built
+    # and relabelled; at most six edges keep each example's reference
+    # loops under a second
+    doc = emit_model(system.graph, system)
+    for model in (system, parse_model(permuted(doc, rng))[1]):
+        state = make_kms_state(model)
+        small = reference_monomials(model, (1,))
+        block = reference_check(state, itertools.product(small, small))
+        sampled = reference_check(state, sampled_pairs(
+            reference_monomials(model, (2,)), 10, 3))
+        expected = reference_report(block, sampled, 1e-9)
+        got = verify_kms(state, sample_count=10, seed=3)
+        assert (got.ok, repr(got.max_deviation), got.checked,
+                got.nonzero) == (expected.ok, repr(expected.max_deviation),
+                                 expected.checked, expected.nonzero)
+
+
+def test_lambda_min_runs_only_on_meeting_legs(odo22, kat2v, monkeypatch):
+    # legs that differ at the meet of their degrees have no minimal
+    # common extension, and such a pair's products are never built
+    cases = [(make_kms_state(odo22), 500), (make_kms_state(kat2v), 500),
+             (make_kms_state(bench_model("adding_machine")), 4000)]
+    calls = []
+    lambda_min = KGraph.lambda_min
+
+    def recorded(graph, mu, nu, *args, **kwargs):
+        calls.append((graph, mu, nu))
+        return lambda_min(graph, mu, nu, *args, **kwargs)
+
+    monkeypatch.setattr(KGraph, "lambda_min", recorded)
+    for state, samples in cases:
+        verify_kms(state, sample_count=samples, seed=7)
+    assert calls
+    assert all(graph.meet_tails(mu, nu) is not None
+               for graph, mu, nu in calls)
 
 
 @pytest.mark.parametrize("name,limit", [("odo22", 400), ("kat2v", 200)])
