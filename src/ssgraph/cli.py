@@ -17,7 +17,7 @@ from .action import ActionSystem, GeneratorTable, \
     check_degenerate_property, check_locally_faithful, check_pseudo_free, \
     validate_action
 from .errors import ClosureExceeded, NoConvergence, NotStronglyConnected, \
-    ParseError, ValidationError, ValidationReport, need_field
+    ParseError, SSGraphError, ValidationError, ValidationReport, need_field
 from .kgraph import Edge, KGraph, validate_kgraph
 from .models import build_katsura, build_odometer
 from .periodicity import periodicity_group
@@ -459,12 +459,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, ValidationError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
     except ClosureExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAPPED
+    except (SSGraphError, ValueError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def _dispatch(args) -> int:

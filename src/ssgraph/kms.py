@@ -219,150 +219,160 @@ class _MonomialBlock(Sequence):
         return algebra._checked_monomial(self._system, mu, g, nu)
 
 
+class _Products:
+    """The monomial products of one ``verify_kms`` call, memoised in
+    tables that are dropped with the call.
+
+    ``handle(m)`` is (mu id, (g, nu) id, (mu, g) id, nu id, m, m's
+    gauge factor).  Paths, (g, nu), (mu, g) and product terms are
+    interned apart from the memos keyed on them (named tuples equal
+    plain tuples); every path, (g, nu) and (mu, g) id is below
+    ``span``, one per (g, nu) of the (2,...,2) block ``big``, so a memo
+    key packs its ids into one int.  Two paths meet when they agree at
+    the meet of their degrees, one verdict per unordered pair of ids.
+    A product's middle (its terms without the outer legs) is built
+    once per distinct (g, nu) and (mu', h), from one ``lambda_min`` per
+    pair of x's nu and y's mu ids, and only when that list is nonempty;
+    each distinct (mu, term, nu') cell is composed and evaluated once.
+    Cycline verdicts come from one ``split_front`` per (path, meet
+    degree) and one fixpoint search per reduced state, and gauge
+    factors from one ``_gauge_factor`` call per pair of degrees."""
+
+    def __init__(self, state: KmsState, big: _MonomialBlock):
+        system = state.system
+        self.state, self.system, self.graph = state, system, system.graph
+        self.span = len(big._legs)
+        self.paths: dict = {}
+        self._gnus: dict = {}
+        self._mugs: dict = {}
+        self._terms: dict = {}
+        self._term_list = []
+        (self._met, self._extensions, self._middles, self._lefts,
+         self._rights, self._cells, self._values, self._scales) = (
+            {}, {}, {}, {}, {}, {}, {}, {})
+        self._split = functools.cache(self.graph.split_front)
+        self._verdict = functools.cache(
+            lambda s: cycline_search(system, s).verdict)
+
+    def handle(self, m) -> tuple:
+        paths = self.paths
+        degrees = m.mu.degree, m.nu.degree
+        scale = self._scales.get(degrees)
+        if scale is None:
+            scale = self._scales[degrees] = complex(
+                _gauge_factor(self.state, m))
+        return (paths.setdefault(m.mu, len(paths)),
+                self._gnus.setdefault((m.g, m.nu), len(self._gnus)),
+                self._mugs.setdefault((m.mu, m.g), len(self._mugs)),
+                paths.setdefault(m.nu, len(paths)), m, scale)
+
+    def meets(self, p: int, mu, q: int, nu) -> bool:
+        """Whether paths mu and nu, of ids p and q, meet."""
+        pair = p * self.span + q if p < q else q * self.span + p
+        hit = self._met.get(pair)
+        if hit is None:
+            hit = self._met[pair] = \
+                self.graph.meet_tails(mu, nu, self._split) is not None
+        return hit
+
+    def live(self, x: tuple, y: tuple) -> bool:
+        """Whether x's mu meets y's nu and x's nu meets y's mu; both
+        products of any other pair are empty."""
+        return (self.meets(x[0], x[4].mu, y[3], y[4].nu)
+                and self.meets(x[3], x[4].nu, y[0], y[4].mu))
+
+    def product(self, x: tuple, y: tuple) -> list:
+        """The nonzero values of xy's monomials in ``multiply``'s order;
+        distinct extensions give distinct keys (unique factorization),
+        so each key carries coefficient one, as in ``multiply``."""
+        span = self.span
+        middle = self._middles.get(x[1] * span + y[2])
+        if middle is None:
+            middle = self._middles[x[1] * span + y[2]] = self._middle(x, y)
+        cells = self._cells
+        p, q = x[0], y[3]
+        out = []
+        for t in middle:
+            cell = (t * span + p) * span + q
+            value = cells.get(cell)
+            if value is None:
+                value = cells[cell] = self._cell(t, x, y)
+            if value:
+                out.append(value)
+        return out
+
+    def _middle(self, x: tuple, y: tuple) -> tuple:
+        legs = x[3] * self.span + y[0]
+        ext = self._extensions.get(legs)
+        if ext is None:
+            ext = self._extensions[legs] = self.graph.lambda_min(
+                x[4].nu, y[4].mu, self._split)
+        return tuple(map(self._term_id, algebra._product_middle(
+            self.system, x[4].g, ext, y[4].g) if ext else ()))
+
+    def _term_id(self, term) -> int:
+        t = self._terms.setdefault(term, len(self._terms))
+        if t == len(self._term_list):
+            self._term_list.append(term)
+        return t
+
+    def _cell(self, t: int, x: tuple, y: tuple) -> complex:
+        # the value of term t of xy, with x's mu and y's nu composed on
+        head, g, pulled = self._term_list[t]
+        span, compose = self.span, self.graph.compose
+        left = self._lefts.get(t * span + x[0])
+        if left is None:
+            left = self._lefts[t * span + x[0]] = compose(x[4].mu, head)
+        right = self._rights.get(t * span + y[3])
+        if right is None:
+            right = self._rights[t * span + y[3]] = compose(y[4].nu, pulled)
+        key = algebra.Monomial(left, g, right)
+        value = self._values.get(key)
+        if value is None:
+            # _evaluate_monomial, with is_cycline's source check
+            algebra._checked_monomial(self.system, left, g, right)
+            tails = self.graph.meet_tails(left, right, self._split)
+            value = self._values[key] = (
+                0j if tails is None or not self._verdict(
+                    CyclineState(tails[0], g, tails[1]))
+                else _cycline_value(self.state, key))
+        return value
+
+
 def verify_kms(state: KmsState, sample_count: int = 500,
                tol: float = 1e-9, seed: int = 20_08,
                max_checks: int = 10_000_000) -> KmsReport:
     """Check phi(xy) = phi(y * scale(x)) over all monomial pairs with
     degrees at most (1,...,1) plus ``sample_count`` random pairs up to
-    (2,...,2); more than ``max_checks`` checks raise ClosureExceeded
-    before any product is made.
+    (2,...,2), drawn by ``random.Random(seed)``; more than
+    ``max_checks`` checks (the block size squared plus the samples)
+    raise ClosureExceeded before any product is made.
 
-    Each unordered pair {x, y} of the (1,...,1) block costs two
-    monomial products, xy and yx, which serve both ordered checks:
-    phi(yx) is the left side of (y, x) and, scaled by x's gauge
-    factor, the right side of (x, y).  Only live pairs are visited:
-    those where x's mu meets y's nu and x's nu meets y's mu, that is,
-    the two paths agree at the meet of their degrees (one verdict per
-    unordered pair of path ids).  Both products of any other pair are
-    empty: a term (mu.a, h, nu'.b) of xy has the heads of x's mu and
-    y's nu' at their degree meet, so it is not cycline unless they
-    meet, and ``lambda_min`` of x's nu and y's mu is empty unless they
-    meet.  The block is bucketed on (mu, nu), and each bucket keeps
-    one sorted list of the block indices in the buckets (c, d) with c
-    meeting its nu and d its mu; x enters that list at its own index,
-    diagonal first, so live pairs run in the order of the full
-    (i, j >= i) loop.  A sampled pair, drawn as an index into the
-    (2,...,2) block, makes the same two tests before its products.
-    Products run on integer handles local to the call, the ids of mu,
-    (g, nu), (mu, g) and nu: a middle (the terms without the outer
-    legs) is built once per distinct (g, nu) and (mu', h) from one
-    ``lambda_min`` per pair of x's nu and y's mu ids, and each distinct
-    (mu, term, nu') cell is composed and evaluated once, with cycline
-    verdicts from caches local to the call: one ``split_front`` per
-    (path, meet degree) and one fixpoint search per reduced state.  A
-    pair whose products have no nonzero value is counted as 0 = 0
-    without summing.  The sums take ``evaluate``'s terms in its order
-    with ``multiply``'s coefficients, so the result equals
-    ``evaluate(multiply(x, y))`` against
-    ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly."""
+    Only live pairs are computed: those where x's mu meets y's nu and
+    x's nu meets y's mu, that is, the two paths agree at the meet of
+    their degrees.  Both products of any other pair are empty, so it
+    holds as 0 = 0.  Live block pairs run in the order of the full
+    (i, j >= i) loop, each unordered pair on its two products xy and
+    yx.  Every check equals ``evaluate(multiply(x, y))`` against
+    ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly, so the
+    report and any error are those of that loop.  The products and
+    their memos are a ``_Products`` table that lives for the call."""
     _require(state)
     if sample_count < 0:
         raise ValueError(
             f"sample count must be at least 0, got {sample_count}")
     system = state.system
-    graph = system.graph
     elements = system.generator_closure()
-    ones = tuple(1 for _ in range(graph.k))
-    twos = tuple(2 for _ in range(graph.k))
-    block = _MonomialBlock(system, ones, elements)
+    block = _MonomialBlock(system, (1,) * system.graph.k, elements)
     needed = len(block) ** 2 + sample_count
     if needed > max_checks:
         raise ClosureExceeded(
             f"KMS check needs {needed} checks ({len(block)}**2 block "
             f"pairs + {sample_count} samples), over the max_checks cap "
             f"of {max_checks}; raise it with --max-checks")
-    big = _MonomialBlock(system, twos, elements)
-    # ids of paths, (g, nu), (mu, g) and product terms, interned apart
-    # from the memos keyed on them (named tuples equal plain tuples);
-    # a memo key packs its ids into one int, and every path, (g, nu)
-    # and (mu, g) id is below ``span``, one per (g, nu) of ``big``
-    span = len(big._legs)
-    paths: dict = {}
-    gnus: dict = {}
-    mugs: dict = {}
-    terms: dict = {}
-    term_list = []
-    extensions: dict = {}
-    middles: dict = {}
-    lefts: dict = {}
-    rights: dict = {}
-    cells: dict = {}
-    values: dict = {}
-    compose = graph.compose
-    # one split per (path, degree), for the meets, the extensions and
-    # the cycline verdicts, and one fixpoint search per reduced state,
-    # cached for this call only
-    split = functools.cache(graph.split_front)
-    verdict = functools.cache(lambda s: cycline_search(system, s).verdict)
-    met: dict = {}
-
-    def evaluate_monomial(key):
-        # _evaluate_monomial, with is_cycline's source check
-        algebra._checked_monomial(system, key.mu, key.g, key.nu)
-        tails = graph.meet_tails(key.mu, key.nu, split)
-        if tails is None \
-                or not verdict(CyclineState(tails[0], key.g, tails[1])):
-            return 0j
-        return _cycline_value(state, key)
-
-    def handle(m):
-        # the ids of m's mu, (g, nu), (mu, g) and nu, then m itself
-        return (paths.setdefault(m.mu, len(paths)),
-                gnus.setdefault((m.g, m.nu), len(gnus)),
-                mugs.setdefault((m.mu, m.g), len(mugs)),
-                paths.setdefault(m.nu, len(paths)), m)
-
-    def term_id(term):
-        t = terms.get(term)
-        if t is None:
-            t = terms[term] = len(term_list)
-            term_list.append(term)
-        return t
-
-    def meets(p, mu, q, nu):
-        # whether paths mu and nu, of ids p and q, agree at their degree meet
-        pair = p * span + q if p < q else q * span + p
-        hit = met.get(pair)
-        if hit is None:
-            hit = met[pair] = graph.meet_tails(mu, nu, split) is not None
-        return hit
-
-    def product(x, y):
-        # the nonzero values of xy's monomials in ``multiply``'s order;
-        # distinct extensions give distinct keys (unique factorization),
-        # so each key carries coefficient one, as in ``multiply``
-        inner = x[1] * span + y[2]
-        middle = middles.get(inner)
-        if middle is None:
-            xm, ym = x[4], y[4]
-            legs = x[3] * span + y[0]
-            ext = extensions.get(legs)
-            if ext is None:
-                ext = extensions[legs] = graph.lambda_min(xm.nu, ym.mu, split)
-            middle = middles[inner] = tuple(map(term_id, (
-                algebra._product_middle(system, xm.g, ext, ym.g)
-                if ext else ())))
-        out = []
-        for t in middle:
-            cell = (t * span + x[0]) * span + y[3]
-            value = cells.get(cell)
-            if value is None:
-                head, mid, pulled = term_list[t]
-                left = lefts.get(t * span + x[0])
-                if left is None:
-                    left = lefts[t * span + x[0]] = compose(x[4].mu, head)
-                right = rights.get(t * span + y[3])
-                if right is None:
-                    right = rights[t * span + y[3]] = compose(y[4].nu, pulled)
-                key = algebra.Monomial(left, mid, right)
-                value = values.get(key)
-                if value is None:
-                    value = values[key] = evaluate_monomial(key)
-                cells[cell] = value
-            if value:
-                out.append(value)
-        return out
-
+    big = _MonomialBlock(system, (2,) * system.graph.k, elements)
+    table = _Products(state, big)
+    product = table.product
     worst = 0.0
     nonzero = 0
 
@@ -375,12 +385,14 @@ def verify_kms(state: KmsState, sample_count: int = 500,
         if lhs:
             nonzero += 1
 
-    handles = [handle(x) for x in block]
-    scales = [complex(_gauge_factor(state, x[4])) for x in handles]
-    # the block's paths have ids 0, 1, ... in ``paths``'s order; the
-    # buckets are keyed on (mu id, nu id)
-    near = [[q for q, nu in enumerate(paths) if meets(p, mu, q, nu)]
-            for p, mu in enumerate(paths)]
+    handles = [table.handle(x) for x in block]
+    # the block's paths have ids 0, 1, ... in ``table.paths``'s order;
+    # each (mu id, nu id) bucket lists the sorted block indices of the
+    # buckets whose pairs with it are live, so x enters its list at
+    # its own index
+    near = [[q for q, nu in enumerate(table.paths)
+             if table.meets(p, mu, q, nu)]
+            for p, mu in enumerate(table.paths)]
     buckets: dict = {}
     for i, x in enumerate(handles):
         buckets.setdefault((x[0], x[3]), []).append(i)
@@ -389,43 +401,30 @@ def verify_kms(state: KmsState, sample_count: int = 500,
                 for a, b in buckets}
     for i, x in enumerate(handles):
         row = partners[x[0], x[3]]
-        start = bisect.bisect_left(row, i)
-        if start < len(row) and row[start] == i:
-            start += 1
-            xx = product(x, x)
-            if xx:
-                tally(xx, xx, scales[i])
-        for j in row[start:]:
+        for j in row[bisect.bisect_left(row, i):]:
             y = handles[j]
             xy = product(x, y)
             yx = product(y, x)
             if xy or yx:
-                tally(xy, yx, scales[i])
-                tally(yx, xy, scales[j])
+                tally(xy, yx, x[5])
+                if j != i:
+                    tally(yx, xy, y[5])
     # rng.choice reads only len and one index, so drawing from a range
     # of len(big) gives the indices of rng.choice(big)'s draws
     rng = random.Random(seed)
     indices = range(len(big))
     drawn: dict = {}
-
-    def draw():
-        # a sampled monomial's handle, built once per index
-        i = rng.choice(indices)
-        h = drawn.get(i)
-        if h is None:
-            h = drawn[i] = handle(big[i])
-        return h
-
     for _ in range(sample_count):
-        hx = draw()
-        hy = draw()
-        if not (meets(hx[0], hx[4].mu, hy[3], hy[4].nu)
-                and meets(hx[3], hx[4].nu, hy[0], hy[4].mu)):
-            continue
-        xy = product(hx, hy)
-        yx = product(hy, hx)
-        if xy or yx:
-            tally(xy, yx, complex(_gauge_factor(state, hx[4])))
+        pair = rng.choice(indices), rng.choice(indices)
+        for i in pair:
+            if i not in drawn:
+                drawn[i] = table.handle(big[i])
+        x, y = drawn[pair[0]], drawn[pair[1]]
+        if table.live(x, y):
+            xy = product(x, y)
+            yx = product(y, x)
+            if xy or yx:
+                tally(xy, yx, x[5])
     return KmsReport(worst < tol, worst, needed, tol, nonzero)
 
 

@@ -11,7 +11,6 @@ any action and live in :mod:`ssgraph.action`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .action import ActionCaps, ActionSystem, GeneratorTable, GroupElement
 from .errors import DomainError, NotBalanced, SpecViolation

@@ -12,6 +12,7 @@ from ssgraph.cli import EXIT_CAPPED, EXIT_INVALID, EXIT_OK, MODEL_SCHEMA, \
     REPORT_SCHEMA, canonical_bytes, emit_model, main, parse_model, \
     run_analysis
 from ssgraph.errors import ParseError, ValidationError
+from ssgraph.kgraph import Edge, KGraph
 from ssgraph.models import build_odometer
 
 from tests.conftest import bench_model, make_loops_graph
@@ -533,6 +534,33 @@ def test_kms_eval_invalid_model_exit(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["kms-eval", str(path)]) == EXIT_INVALID
     assert "factorization" in capsys.readouterr().err
+
+
+def one_way_model_path(tmp_path):
+    # a valid 1-graph that is not strongly connected: loops at a and b
+    # and one edge a -> b, under the identity
+    edges = [[Edge(0, 0, 0, 0), Edge(1, 0, 1, 1), Edge(2, 0, 0, 1)]]
+    graph = KGraph(1, 2, edges, {}, vertex_names=("a", "b"))
+    fixed = GeneratorTable("e", (0, 1), {(0, e): e for e in range(3)},
+                           {(0, e): () for e in range(3)})
+    path = tmp_path / "one_way.json"
+    path.write_bytes(canonical_bytes(emit_model(graph, ActionSystem(
+        graph, (fixed,)))))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "odometer", "--n", "1"],
+    ["gen", "katsura", "--t", "2,1", "--b", "1,1,1"],
+    ["per"], ["kms-eval"]], ids=["odometer", "katsura", "per", "kms-eval"])
+def test_library_errors_exit_2(tmp_path, capsys, argv):
+    # spectral_data refuses the model verbs' graph
+    if argv[0] != "gen":
+        argv = argv + [str(one_way_model_path(tmp_path))]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def run_python(*argv):

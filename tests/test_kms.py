@@ -519,6 +519,26 @@ def test_lambda_min_runs_only_on_meeting_legs(odo22, kat2v, monkeypatch):
                for graph, mu, nu in calls)
 
 
+def test_product_table_lives_for_one_call(odo22, monkeypatch):
+    # a table kept on the state or the system would answer the second
+    # call from its memos
+    state = make_kms_state(odo22)
+    calls = []
+    lambda_min = KGraph.lambda_min
+
+    def counted(graph, mu, nu, *args, **kwargs):
+        calls.append(1)
+        return lambda_min(graph, mu, nu, *args, **kwargs)
+
+    monkeypatch.setattr(KGraph, "lambda_min", counted)
+    counts = []
+    for _ in range(2):
+        verify_kms(state, sample_count=500, seed=7)
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == counts[1] > 0
+
+
 @pytest.mark.parametrize("name,limit", [("odo22", 400), ("kat2v", 200)])
 def test_refuted_products_build_no_middle(name, limit, request,
                                           monkeypatch):
