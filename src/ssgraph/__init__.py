@@ -4,7 +4,8 @@ monomial algebra, and KMS equilibrium states."""
 
 from .action import ActionCaps, ActionSystem, GeneratorTable, \
     GroupElement, HypothesisVerdict, check_degenerate_property, \
-    check_locally_faithful, check_pseudo_free, validate_action
+    check_locally_faithful, check_pseudo_free, restriction_graph, \
+    validate_action
 from .algebra import AlgebraElement, Monomial, adjoint, element, \
     element_from_json, element_to_json, elements_equal, expectation, \
     generator_unitary, identity_element, monomial, multiply, \

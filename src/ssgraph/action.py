@@ -18,8 +18,9 @@ which is the group itself when that group acts faithfully.
 
 The closure, the nucleus and the hypothesis checks read one automaton:
 the restriction closure of some states, each with its restriction
-along every edge.  The pseudo-free, locally faithful and degenerate
-checks are three searches of its (state, vertex) restriction graph.
+along every edge.  ``restriction_graph`` builds the (state, vertex)
+graph of the generators' closure once; the pseudo-free, locally
+faithful and degenerate checks are three searches of that one graph.
 """
 from __future__ import annotations
 
@@ -423,18 +424,21 @@ def _trivial_generator(sys: ActionSystem) -> str | None:
     return None
 
 
-def _restriction_graph(sys: ActionSystem, states: Sequence[GroupElement]):
-    """The (state, vertex) restriction graph of the closure of
-    ``states``: the arcs of each node (g, v), state by state from
-    ``states`` on.  Node (g, v) has one arc ``(e, fixed, (g|e, s(e)))``
-    per edge e with range v, by color and then id; ``fixed`` says
-    whether g fixes e."""
+def restriction_graph(sys: ActionSystem):
+    """The (state, vertex) restriction graph of the generators'
+    closure, built once for all three hypothesis checks: the arcs of
+    each node (g, v), state by state in ``generator_closure`` order.
+    Node (g, v) has one arc ``(e, fixed, (g|e, s(e)))`` per edge e with
+    range v, by color and then id; ``fixed`` says whether g fixes e.
+    Raises ClosureExceeded when the closure exceeds its cap."""
     graph = sys.graph
+    seeds = [sys.identity] + [sys.generator_element(g.name)
+                              for g in sys.generators]
     return {(key, v): [(e, sys._act_edge_raw(key, (color, e.id)) == e.id,
                         (row[(color, e.id)], e.source))
                        for color in range(graph.k)
                        for e in graph.edges_from(v, color)]
-            for key, row in sys._automaton(states).items()
+            for key, row in sys._automaton(seeds).items()
             for v in range(graph.num_vertices)}
 
 
@@ -454,12 +458,10 @@ def _reaching(arcs, targets) -> set:
     return seen
 
 
-def check_pseudo_free(sys: ActionSystem,
-                      states: Sequence[GroupElement]) -> HypothesisVerdict:
-    """Search the closure of the given states for a non-identity
-    element whose restriction along a fixed path is the identity:
-    breadth-first along fixed arcs, from each state's nodes in turn.
-    The verdict is relative to that closure."""
+def check_pseudo_free(sys: ActionSystem, arcs) -> HypothesisVerdict:
+    """Search the restriction graph ``arcs`` for a non-identity state
+    whose restriction along a fixed path is the identity: breadth-first
+    along fixed arcs, from each state's nodes in turn."""
     trivial = _trivial_generator(sys)
     if trivial is not None:
         e = sys.graph.edges[0][0]
@@ -467,7 +469,6 @@ def check_pseudo_free(sys: ActionSystem,
             False, trivial, (e,),
             detail=f"generator {trivial!r} acts as the identity")
     id_key = sys.identity.key
-    arcs = _restriction_graph(sys, states)
     for g_key in dict.fromkeys(key for key, _ in arcs):
         if g_key == id_key:
             continue
@@ -486,12 +487,10 @@ def check_pseudo_free(sys: ActionSystem,
     return HypothesisVerdict(True)
 
 
-def check_locally_faithful(sys: ActionSystem,
-                           states: Sequence[GroupElement]) -> HypothesisVerdict:
-    """Greatest-fixpoint search, over the closure of the given states,
-    for a non-identity state fixing every path out of some vertex: a
-    node survives when no arc path leads from it to an edge its state
-    moves.
+def check_locally_faithful(sys: ActionSystem, arcs) -> HypothesisVerdict:
+    """Greatest-fixpoint search of the restriction graph ``arcs`` for a
+    non-identity state fixing every path out of some vertex: a node
+    survives when no arc path leads from it to an edge its state moves.
 
     Elements are compared as the engine compares them, as automorphisms
     of the path space, so "non-identity" means acting nontrivially on
@@ -503,7 +502,6 @@ def check_locally_faithful(sys: ActionSystem,
         return HypothesisVerdict(
             False, trivial, witness_vertex=0,
             detail=f"generator {trivial!r} acts as the identity")
-    arcs = _restriction_graph(sys, states)
     dead = _reaching(arcs, [node for node, out in arcs.items()
                             if not all(fixed for _, fixed, _ in out)])
     for key, v in arcs:
@@ -512,12 +510,10 @@ def check_locally_faithful(sys: ActionSystem,
     return HypothesisVerdict(True)
 
 
-def check_degenerate_property(sys: ActionSystem) -> bool:
-    """Whether every state of the generators' closure restricts to the
-    identity along some path out of every vertex: whether every node
-    of the restriction graph reaches an identity node.  Bounded only
-    by the closure's cap."""
-    arcs = _restriction_graph(sys, sys.generator_closure())
+def check_degenerate_property(sys: ActionSystem, arcs) -> bool:
+    """Whether every state of the restriction graph ``arcs`` restricts
+    to the identity along some path out of every vertex: whether every
+    node reaches an identity node."""
     identity = [(sys.identity.key, v) for v in range(sys.graph.num_vertices)]
     return _reaching(arcs, identity).issuperset(arcs)
 

@@ -15,7 +15,7 @@ import sys
 from . import algebra, kms
 from .action import ActionSystem, GeneratorTable, \
     check_degenerate_property, check_locally_faithful, check_pseudo_free, \
-    validate_action
+    restriction_graph, validate_action
 from .errors import ClosureExceeded, NoConvergence, NotStronglyConnected, \
     ParseError, SSGraphError, ValidationError, ValidationReport, need_field
 from .kgraph import Edge, KGraph, validate_kgraph
@@ -241,18 +241,18 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
 
     hypotheses: dict = {}
     try:
-        closure = system.generator_closure()
-        hypotheses["closureSize"] = len(closure)
+        arcs = restriction_graph(system)
+        hypotheses["closureSize"] = len({key for key, _ in arcs})
         hypotheses["finiteState"] = True
-        pf = check_pseudo_free(system, closure)
-        lf = check_locally_faithful(system, closure)
+        pf = check_pseudo_free(system, arcs)
+        lf = check_locally_faithful(system, arcs)
         hypotheses["pseudoFree"] = pf.ok
         hypotheses["locallyFaithful"] = lf.ok
         if not pf.ok:
             hypotheses["pseudoFreeWitness"] = _witness_text(pf)
         if not lf.ok:
             hypotheses["locallyFaithfulWitness"] = _witness_text(lf)
-        hypotheses["degenerate"] = check_degenerate_property(system)
+        hypotheses["degenerate"] = check_degenerate_property(system, arcs)
     except ClosureExceeded as err:
         hypotheses["error"] = str(err)
         capped = True
@@ -500,7 +500,9 @@ def _dispatch(args) -> int:
         _write_output(report, args.out)
         if report.get("capped"):
             return EXIT_CAPPED
-        return EXIT_OK if report["validation"]["valid"] else EXIT_INVALID
+        if not report["validation"]["valid"] or "error" in report["perron"]:
+            return EXIT_INVALID
+        return EXIT_OK
 
     if args.verb == "per":
         graph, system = _load_validated(args.model)

@@ -49,9 +49,8 @@ class NotInLattice(SSGraphError):
 
 
 class BoxClosureViolation(SSGraphError):
-    """Periodicity members found do not close under the group laws: a box
-    member lacks its negative or a sum inside the box, or a tested
-    vector and its negative disagree."""
+    """Periodicity members found in the box do not close under the
+    group laws: a member lacks its negative or a sum inside the box."""
 
 
 class NotBalanced(SSGraphError):

@@ -183,9 +183,11 @@ def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
     """The periodicity group, exactly whenever ``rho_int`` is set.
 
     Per is a subgroup of the exact kernel K.  K = {0} settles it at
-    once.  Otherwise each basis vector b of K, and -b, is tested at its
-    minimal degree pair with the nucleus (the ball when the nucleus
-    search hits a cap); if all pass, Per = K.  If some fail, the box
+    once.  Otherwise each basis vector b of K is tested once, at its
+    minimal degree pair, with the nucleus (the ball when the nucleus
+    search hits a cap); -b needs no search of its own, because both
+    element sets are closed under inverses and (mu, g, nu) is cycline
+    exactly when (nu, g^-1, mu) is.  If all pass, Per = K.  If some fail, the box
     scan finds a lattice L of members; when the nucleus was used and L
     has full rank in K, one vector per nonzero coset of K/L decides the
     rest exactly.  Float radii, and the remaining failures, report the
@@ -207,8 +209,7 @@ def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
         elements, source = system.nucleus(), "nucleus"
     except ClosureExceeded:
         elements, source = _ball(system, ball_radius), "ball"
-    members = [b for b in kernel
-               if _signed_member(system, b, elements)]
+    members = [b for b in kernel if _per_member(system, b, elements)]
     if len(members) == len(kernel):
         return lattice(kernel, True, "kernel", source)
     found = hnf_basis(members + list(_box_scan(
@@ -253,7 +254,7 @@ def _box_scan(system, data, box_radius, elements, tol):
             members.append(z)
     member_set = set(members)
     for z in members:
-        if _negate(z) not in member_set:
+        if tuple(-v for v in z) not in member_set:
             raise BoxClosureViolation(f"member {z} has no negative in the box")
     for z1 in members:
         for z2 in members:
@@ -281,22 +282,9 @@ def _complete_cosets(system, kernel, found, elements):
         z = tuple(sum(ci * b[j] for ci, b in zip(c, kernel))
                   for j in range(system.graph.k))
         if any(c) and not lattice_contains(hnf_basis(members, len(z)), z) \
-                and _signed_member(system, z, elements):
+                and _per_member(system, z, elements):
             members.append(z)
     return hnf_basis(members, system.graph.k)
-
-
-def _negate(z):
-    return tuple(-v for v in z)
-
-
-def _signed_member(system, z, elements) -> bool:
-    """Membership of z, checked against that of -z: Per is a group."""
-    member = _per_member(system, z, elements)
-    if member != _per_member(system, _negate(z), elements):
-        raise BoxClosureViolation(
-            f"{z} and its negative disagree on membership")
-    return member
 
 
 def _per_member(system, z, elements) -> bool:

@@ -11,7 +11,7 @@ import random
 import time
 
 from ssgraph.action import check_degenerate_property, \
-    check_locally_faithful, check_pseudo_free
+    check_locally_faithful, check_pseudo_free, restriction_graph
 from ssgraph.algebra import adjoint, element, elements_equal, expectation, \
     identity_element, max_deviation, monomial, multiply, \
     is_central_on_generators, periodicity_unitary
@@ -184,18 +184,19 @@ def test_criterion_7_hypothesis_validators(odo22, odo23, odo24, odo623,
         states = closure_of(system)
         if len(states) != 2:
             failures.append(f"closure size {len(states)}")
-        if not check_pseudo_free(system, states).ok:
+        arcs = restriction_graph(system)
+        if not check_pseudo_free(system, arcs).ok:
             failures.append("pseudo-free check failed on a built-in")
-        if not check_locally_faithful(system, states).ok:
+        if not check_locally_faithful(system, arcs).ok:
             failures.append("local-faithfulness check failed on a built-in")
-        if not check_degenerate_property(system):
+        if not check_degenerate_property(system, arcs):
             failures.append("degenerate property missing on a built-in")
     lonely = check_pseudo_free(trivial_lonely_system,
-                               closure_of(trivial_lonely_system))
+                               restriction_graph(trivial_lonely_system))
     if lonely.ok or not lonely.detail:
         failures.append("trivial lone generator not caught")
-    extension = check_locally_faithful(trivial_extension_system,
-                                       closure_of(trivial_extension_system))
+    extension = check_locally_faithful(
+        trivial_extension_system, restriction_graph(trivial_extension_system))
     if extension.ok or not extension.detail:
         failures.append("trivial extension generator not caught")
     report(7, "hypothesis validators and counterexamples", failures)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssgraph.action import ActionCaps, ActionSystem, check_locally_faithful, \
-    check_pseudo_free, validate_action
+    check_pseudo_free, restriction_graph, validate_action
 from ssgraph.errors import ClosureExceeded, PreconditionViolated
 from ssgraph.kgraph import add_degrees
 from ssgraph.models import BUILTIN_KATSURA, BUILTIN_ODOMETERS, \
@@ -303,23 +303,23 @@ def test_word_length_cap_raises():
 def test_hypotheses_hold_on_builtins(odo22, odo23, odo24, odo623, kat21,
                                      kat32):
     for system in (odo22, odo23, odo24, odo623, kat21, kat32):
-        states = closure_of(system)
-        assert check_pseudo_free(system, states).ok
-        assert check_locally_faithful(system, states).ok
+        arcs = restriction_graph(system)
+        assert check_pseudo_free(system, arcs).ok
+        assert check_locally_faithful(system, arcs).ok
 
 
 def test_trivial_generator_fails_both_checks(trivial_lonely_system):
-    states = closure_of(trivial_lonely_system)
-    verdict = check_pseudo_free(trivial_lonely_system, states)
+    arcs = restriction_graph(trivial_lonely_system)
+    verdict = check_pseudo_free(trivial_lonely_system, arcs)
     assert not verdict.ok
     assert verdict.witness_element == "t"
     assert verdict.witness_path is not None and len(verdict.witness_path) == 1
-    assert not check_locally_faithful(trivial_lonely_system, states).ok
+    assert not check_locally_faithful(trivial_lonely_system, arcs).ok
 
 
 def test_trivial_extension_fails(trivial_extension_system):
-    states = closure_of(trivial_extension_system)
-    verdict = check_locally_faithful(trivial_extension_system, states)
+    arcs = restriction_graph(trivial_extension_system)
+    verdict = check_locally_faithful(trivial_extension_system, arcs)
     assert not verdict.ok
     assert verdict.witness_element == "e"
 
@@ -327,27 +327,27 @@ def test_trivial_extension_fails(trivial_extension_system):
 def test_partial_fix_found_by_search(partial_fix_system):
     # the generator is genuinely nontrivial, so the fixing-graph search
     # itself must produce the witness
-    states = closure_of(partial_fix_system)
-    verdict = check_pseudo_free(partial_fix_system, states)
+    arcs = restriction_graph(partial_fix_system)
+    verdict = check_pseudo_free(partial_fix_system, arcs)
     assert not verdict.ok
     assert verdict.witness_path is not None
     assert [e.id for e in verdict.witness_path] == [0]
-    assert check_locally_faithful(partial_fix_system, states).ok
+    assert check_locally_faithful(partial_fix_system, arcs).ok
 
 
 def test_locally_blind_fails_fixpoint(locally_blind_system):
-    states = closure_of(locally_blind_system)
-    verdict = check_locally_faithful(locally_blind_system, states)
+    arcs = restriction_graph(locally_blind_system)
+    verdict = check_locally_faithful(locally_blind_system, arcs)
     assert not verdict.ok
     assert verdict.witness_vertex == 0
     # it also fixes one edge with trivial restriction
-    assert not check_pseudo_free(locally_blind_system, states).ok
+    assert not check_pseudo_free(locally_blind_system, arcs).ok
 
 
 def test_self_restricting_swap_passes_hypotheses(self_restrict_system):
-    states = closure_of(self_restrict_system)
-    assert check_pseudo_free(self_restrict_system, states).ok
-    assert check_locally_faithful(self_restrict_system, states).ok
+    arcs = restriction_graph(self_restrict_system)
+    assert check_pseudo_free(self_restrict_system, arcs).ok
+    assert check_locally_faithful(self_restrict_system, arcs).ok
 
 
 # -- validation ----------------------------------------------------------

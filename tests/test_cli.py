@@ -15,7 +15,7 @@ from ssgraph.errors import ParseError, ValidationError
 from ssgraph.kgraph import Edge, KGraph
 from ssgraph.models import build_odometer
 
-from tests.conftest import bench_model, make_loops_graph
+from tests.conftest import MODELS, bench_model, make_loops_graph
 
 
 def gen_file(tmp_path, name, *argv):
@@ -371,6 +371,36 @@ def test_each_stage_runs_once_per_verb(tmp_path, monkeypatch):
     assert calls == {"periodicity_group": 1, "spectral_data": 1}
 
 
+def test_each_build_happens_once_per_analyze(tmp_path, monkeypatch):
+    import ssgraph.action
+    import ssgraph.cli
+    import ssgraph.periodicity
+    calls = {"_automaton": 0, "restriction_graph": 0, "_per_member": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ActionSystem, "_automaton", counted(
+        "_automaton", ActionSystem._automaton))
+    graph_builder = counted("restriction_graph",
+                            ssgraph.action.restriction_graph)
+    for module in (ssgraph.action, ssgraph.cli):
+        monkeypatch.setattr(module, "restriction_graph", graph_builder)
+    monkeypatch.setattr(ssgraph.periodicity, "_per_member", counted(
+        "_per_member", ssgraph.periodicity._per_member))
+    odometer = gen_file(tmp_path, "odo22.json", "gen", "odometer",
+                        "--n", "2,2")
+    for model, expected in ((odometer, (3, 1, 1)),
+                            (MODELS / "grigorchuk.json", (1, 1, 0))):
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["analyze", str(model), "--json",
+                     str(tmp_path / "a.json")]) == EXIT_OK
+        assert tuple(calls.values()) == expected
+
+
 def test_capped_lattice_error_is_reused_by_kms(
         word_odometer22, monkeypatch):
     # the closure {0, +1} fits under the cap, the radius-3 ball does not
@@ -561,6 +591,15 @@ def test_library_errors_exit_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_analyze_exits_2_when_the_perron_stage_fails(tmp_path, capsys):
+    assert main(["analyze", str(one_way_model_path(tmp_path))]) \
+        == EXIT_INVALID
+    report = json.loads(capsys.readouterr().out)
+    assert report["validation"]["valid"]
+    assert report["perron"] == {
+        "error": "spectral data needs a strongly connected graph"}
 
 
 def run_python(*argv):

@@ -6,7 +6,7 @@ import pytest
 
 from ssgraph.action import ActionSystem, GeneratorTable, \
     check_degenerate_property, check_locally_faithful, check_pseudo_free, \
-    validate_action
+    restriction_graph, validate_action
 from ssgraph.cli import emit_model, parse_model, run_analysis
 from ssgraph.kgraph import Edge, KGraph
 from ssgraph.models import build_katsura, build_odometer
@@ -30,15 +30,17 @@ def test_chain_passes_hypotheses():
     assert validate_action(system).ok
     states = system.generator_closure()
     assert len(states) == 11
-    assert check_pseudo_free(system, states).ok
-    assert check_locally_faithful(system, states).ok
+    arcs = restriction_graph(system)
+    assert check_pseudo_free(system, arcs).ok
+    assert check_locally_faithful(system, arcs).ok
 
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_chain_reaches_the_identity_at_any_depth(n):
     # a_1 needs n restrictions to reach the identity
     system = chain_system(n)
-    assert check_degenerate_property(system) is True
+    assert check_degenerate_property(system, restriction_graph(system)) \
+        is True
     report = run_analysis(system.graph, system)
     assert report["hypotheses"]["degenerate"] is True
 
@@ -54,11 +56,11 @@ def test_restrictions_follow_edges_to_their_source():
                            {(0, 0): (1,), (0, 1): (), (0, 2): (), (0, 3): ()})
     system = ActionSystem(KGraph(1, 2, edges, {}), (table,))
     assert validate_action(system).ok
-    states = system.generator_closure()
-    assert check_locally_faithful(system, states).ok
-    verdict = check_pseudo_free(system, states)
+    arcs = restriction_graph(system)
+    assert check_locally_faithful(system, arcs).ok
+    verdict = check_pseudo_free(system, arcs)
     assert [e.id for e in verdict.witness_path] == [1]
-    assert check_degenerate_property(system) is True
+    assert check_degenerate_property(system, arcs) is True
 
 
 # -- relabelling a model changes no verdict ------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ssgraph.action import check_degenerate_property
+from ssgraph.action import check_degenerate_property, restriction_graph
 from ssgraph.errors import DomainError, NotBalanced, SpecViolation
 from ssgraph.models import BUILTIN_KATSURA, BUILTIN_ODOMETERS, build_katsura, \
     build_odometer, degree_weight, expected_odometer_per, gamma_bijection, \
@@ -145,11 +145,13 @@ def test_katsura_two_vertex_build():
 
 def test_degenerate_property_on_builtins(odo22, odo23, odo623, kat21, kat32):
     for system in (odo22, odo23, odo623, kat21, kat32):
-        assert check_degenerate_property(system) is True
+        assert check_degenerate_property(system, restriction_graph(system)) \
+            is True
 
 
 def test_degenerate_property_fails_on_self_restriction(self_restrict_system):
-    assert check_degenerate_property(self_restrict_system) is False
+    assert check_degenerate_property(
+        self_restrict_system, restriction_graph(self_restrict_system)) is False
 
 
 def test_degenerate_witness_edges(odo23):

@@ -317,6 +317,35 @@ def test_fixture_lattice_matches_box_and_ball_oracle(request, fixture):
     assert periodicity_group(system).basis == box_scan_group(system).basis
 
 
+# the fixtures of test_fixture_lattice_matches_box_and_ball_oracle
+FIXTURES = ["odo22", "odo23", "odo24", "kat21", "kat32", "swap_system",
+            "trivial_lonely_system", "trivial_extension_system",
+            "partial_fix_system", "self_restrict_system",
+            "locally_blind_system", "word_odometer22", "flip_square_system"]
+
+
+@pytest.mark.parametrize("name", [case[0] for case in _oracle_cases()]
+                         + FIXTURES)
+def test_kernel_vectors_and_negatives_agree(request, name):
+    # periodicity_group searches b alone: the nucleus and the ball
+    # closure are closed under inverses, so -b must agree
+    cases = {case[0]: case for case in _oracle_cases()}
+    if name in cases:
+        system, box = cases[name][1](), cases[name][2]
+    else:
+        system, box = request.getfixturevalue(name), 4
+    element_sets = [ssgraph.periodicity._ball(system, 3)]
+    try:
+        element_sets.append(system.nucleus())
+    except ClosureExceeded:
+        pass  # periodicity_group then searches the ball alone
+    member = ssgraph.periodicity._per_member
+    for elements in element_sets:
+        for b in rho_kernel_lattice(spectral_data(system.graph), box):
+            assert member(system, b, elements) \
+                == member(system, tuple(-v for v in b), elements)
+
+
 def test_accepted_kernel_vectors_have_complete_fibers():
     # _per_member needs one cycline triple per vector, a periodicity
     # unitary needs one for every path of the fiber
@@ -371,6 +400,7 @@ def test_failing_kernel_basis_with_the_nucleus(monkeypatch, box, basis,
 def test_kernel_vector_without_its_negative_is_a_closure_violation(
         monkeypatch):
     monkeypatch.setattr(ssgraph.periodicity, "_per_member",
-                        lambda system, z, elements: z[0] > 0)
+                        lambda system, z, elements:
+                        z[0] > 0 and z != (1, -1))
     with pytest.raises(BoxClosureViolation):
         periodicity_group(build_odometer((2, 2)))
