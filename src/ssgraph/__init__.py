@@ -18,15 +18,15 @@ from .errors import BadRange, BoxClosureViolation, ClosureExceeded, \
     SpecViolation, ValidationError, ValidationReport
 from .intlattice import hnf_basis, lattice_contains, lattice_coordinates
 from .kgraph import Edge, KGraph, Path, validate_kgraph
-from .kms import KmsState, SimplexSummary, TraceSpec, character_trace, \
-    evaluate, haar_trace, make_kms_state, mixture_trace, \
-    restrict_to_diagonal, simplex_summary, trace_value, verify_kms
+from .kms import KmsState, TraceSpec, character_trace, evaluate, \
+    haar_trace, make_kms_state, mixture_trace, restrict_to_diagonal, \
+    simplex_summary, trace_value, verify_kms
 from .models import BUILTIN_KATSURA, BUILTIN_ODOMETERS, KatsuraSystem, \
     OdometerSystem, build_katsura, build_odometer, expected_odometer_per, \
     gamma_bijection, odometer_commute, odometer_path, odometer_value
-from .periodicity import AperiodicityVerdict, CyclineCertificate, \
-    PeriodicityLattice, cycline_partner, cycline_triples, is_cycline, \
-    is_g_aperiodic, periodicity_group, sigma_contains
+from .periodicity import CyclineCertificate, PeriodicityLattice, \
+    cycline_partner, cycline_triples, is_cycline, periodicity_group, \
+    sigma_contains
 from .perron import PerronData, check_g_invariance, pf_state_value, \
     rho_kernel_lattice, spectral_data
 

@@ -284,33 +284,29 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
         except ClosureExceeded as err:
             periodicity = {"error": str(err)}
             capped = True
-        try:
-            if lattice is None and check_g_invariance(data, system, tol):
-                # a nonempty simplex needs the lattice that hit the cap
-                kms_section = {"error": periodicity["error"]}
-            else:
-                summary = kms.simplex_summary(
-                    system, box_radius, ball_radius, tol, data=data,
-                    lattice=lattice)
-                established = {"stronglyConnected":
-                               report["stronglyConnected"], **hypotheses}
-                failed = [name for name in HYPOTHESES
-                          if established.get(name) is not True]
-                kms_section = {**_summary_doc(summary),
-                               "conditional": bool(failed),
-                               "failedHypotheses": failed}
-        except ClosureExceeded as err:
-            kms_section = {"error": str(err)}
-            capped = True
+        exists = check_g_invariance(data, system, tol)
+        if lattice is None and exists:
+            # a nonempty simplex needs the lattice that hit the cap
+            kms_section = {"error": periodicity["error"]}
+        else:
+            state = kms.KmsState(system, data, lattice, kms.haar_trace(),
+                                 exists)
+            established = {"stronglyConnected":
+                           report["stronglyConnected"], **hypotheses}
+            failed = [name for name in HYPOTHESES
+                      if established.get(name) is not True]
+            kms_section = {**_summary_doc(state),
+                           "conditional": bool(failed),
+                           "failedHypotheses": failed}
     report["periodicity"] = periodicity
     report["kms"] = kms_section
     report["capped"] = capped
     return report
 
 
-def _summary_doc(summary) -> dict:
-    return {"exists": summary.exists, "rank": summary.rank,
-            "verdict": summary.verdict}
+def _summary_doc(state) -> dict:
+    return {"exists": state.exists, "rank": state.rank,
+            "verdict": state.verdict}
 
 
 def _lattice_doc(lattice) -> dict:
@@ -462,7 +458,7 @@ def main(argv=None) -> int:
     except ClosureExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAPPED
-    except (SSGraphError, ValueError) as err:
+    except (SSGraphError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 
@@ -512,16 +508,13 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.verb == "kms-eval":
+        trace = _parse_trace(args.trace)
         graph, system = _load_validated(args.model)
-        data = spectral_data(graph)
-        summary = kms.simplex_summary(system, args.box, args.ball, args.tol,
-                                      data=data)
-        doc = {**_summary_doc(summary),
-               "basis": [list(v) for v in summary.basis or ()]}
-        if summary.exists:
-            state = kms.make_kms_state(
-                system, trace=_parse_trace(args.trace), data=data,
-                lattice=summary.lattice, tol=args.tol)
+        state = kms.make_kms_state(system, trace, args.box, args.ball,
+                                   args.tol)
+        doc = {**_summary_doc(state),
+               "basis": [list(v) for v in state.basis or ()]}
+        if state.exists:
             verify = kms.verify_kms(state, sample_count=args.samples,
                                     tol=args.tol,
                                     max_checks=args.max_checks)

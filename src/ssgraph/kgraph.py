@@ -71,9 +71,6 @@ class Path(NamedTuple):
     def source(self) -> int:
         return self.edges[-1].source if self.edges else self.range_vertex
 
-    def is_vertex(self) -> bool:
-        return not self.edges
-
 
 class KGraph:
     """A finite rank-k graph.

@@ -87,38 +87,62 @@ def trace_value(trace: TraceSpec, lattice: PeriodicityLattice, z) -> complex:
 
 @dataclass
 class KmsState:
-    """An equilibrium state, defined when the eigenvector is constant
-    on generator vertex orbits; otherwise the simplex is empty."""
+    """The equilibrium simplex and, when it is nonempty, its state of
+    ``trace``.  The simplex is nonempty (``exists``) exactly when the
+    eigenvector is constant on generator vertex orbits, and is then the
+    tracial state space of C*(Per).  ``lattice`` is Per, None on an
+    empty simplex; a trace must give one coordinate per basis vector."""
 
     system: "ActionSystem"
     data: PerronData
-    lattice: PeriodicityLattice
+    lattice: PeriodicityLattice | None
     trace: TraceSpec
     exists: bool
 
+    def __post_init__(self):
+        trace, lattice = self.trace, self.lattice
+        if lattice is None:
+            return
+        if trace.kind == "character" and len(trace.theta) != lattice.rank:
+            raise ValueError(f"character needs {lattice.rank} coordinates, "
+                             f"got {len(trace.theta)}")
+        if trace.kind == "mixture" and any(
+                len(theta) != lattice.rank for _, theta in trace.weights):
+            raise ValueError(
+                f"mixture characters need {lattice.rank} coordinates")
+
+    @property
+    def rank(self) -> int | None:
+        return self.lattice.rank if self.exists else None
+
+    @property
+    def basis(self) -> tuple | None:
+        return self.lattice.basis if self.exists else None
+
+    @property
+    def verdict(self) -> str:
+        """Empty, unique at lattice rank 0, otherwise the measures on a
+        torus of the lattice rank."""
+        if not self.exists:
+            return "empty"
+        if self.rank == 0:
+            return "unique KMS state"
+        return (f"simplex of tracial states of C*(Z^{self.rank}): "
+                f"probability measures on the {self.rank}-torus")
+
 
 def make_kms_state(system, trace: TraceSpec | None = None,
-                   data: PerronData | None = None,
-                   lattice: PeriodicityLattice | None = None,
                    box_radius: int = 4, ball_radius: int = 3,
                    tol: float = 1e-9) -> KmsState:
-    if data is None:
-        data = spectral_data(system.graph)
+    """The state of ``trace`` (Haar when None).  The lattice of
+    (``box_radius``, ``ball_radius``) is computed only when the simplex
+    is nonempty."""
+    data = spectral_data(system.graph)
     exists = check_g_invariance(data, system, tol)
-    if lattice is None:
-        lattice = periodicity_group(system, box_radius, ball_radius,
-                                    perron_data=data, tol=tol)
-    if trace is None:
-        trace = haar_trace()
-    if trace.kind == "character" and len(trace.theta) != lattice.rank:
-        raise ValueError(
-            f"character needs {lattice.rank} coordinates, got {len(trace.theta)}")
-    if trace.kind == "mixture":
-        for _, theta in trace.weights:
-            if len(theta) != lattice.rank:
-                raise ValueError(
-                    f"mixture characters need {lattice.rank} coordinates")
-    return KmsState(system, data, lattice, trace, exists)
+    lattice = periodicity_group(system, box_radius, ball_radius,
+                                perron_data=data, tol=tol) if exists else None
+    return KmsState(system, data, lattice,
+                    haar_trace() if trace is None else trace, exists)
 
 
 def _require(state: KmsState) -> None:
@@ -475,34 +499,8 @@ def restrict_to_diagonal(state: KmsState, tol: float = 1e-9) -> DiagonalReport:
     return DiagonalReport(worst < tol, worst, checked)
 
 
-@dataclass
-class SimplexSummary:
-    exists: bool
-    rank: int | None
-    verdict: str
-    basis: tuple | None
-    lattice: PeriodicityLattice | None = None
-
-
 def simplex_summary(system, box_radius: int = 4, ball_radius: int = 3,
-                    tol: float = 1e-9, data: PerronData | None = None,
-                    lattice: PeriodicityLattice | None = None
-                    ) -> SimplexSummary:
-    """Classify the equilibrium-state simplex: empty when the
-    invariance assumption fails, unique at lattice rank 0, otherwise
-    the measures on a torus of the lattice rank.  ``data`` and
-    ``lattice`` are computed here unless passed in; the lattice only
-    when the simplex is nonempty."""
-    if data is None:
-        data = spectral_data(system.graph)
-    if not check_g_invariance(data, system, tol):
-        return SimplexSummary(False, None, "empty", None)
-    if lattice is None:
-        lattice = periodicity_group(system, box_radius, ball_radius,
-                                    perron_data=data, tol=tol)
-    if lattice.rank == 0:
-        verdict = "unique KMS state"
-    else:
-        verdict = (f"simplex of tracial states of C*(Z^{lattice.rank}): "
-                   f"probability measures on the {lattice.rank}-torus")
-    return SimplexSummary(True, lattice.rank, verdict, lattice.basis, lattice)
+                    tol: float = 1e-9) -> KmsState:
+    """The Haar state of ``make_kms_state``, read for its ``exists``,
+    ``rank``, ``basis`` and ``verdict``."""
+    return make_kms_state(system, None, box_radius, ball_radius, tol)

@@ -171,12 +171,6 @@ class PeriodicityLattice:
         return lattice_contains(self.basis, tuple(z))
 
 
-@dataclass(frozen=True)
-class AperiodicityVerdict:
-    aperiodic: bool
-    lattice: PeriodicityLattice
-
-
 def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
                       perron_data: PerronData | None = None,
                       tol: float = 1e-9) -> PeriodicityLattice:
@@ -291,15 +285,3 @@ def _per_member(system, z, elements) -> bool:
     p = tuple(max(v, 0) for v in z)
     q = tuple(max(-v, 0) for v in z)
     return next(cycline_triples(system, p, q, elements), None) is not None
-
-
-def is_g_aperiodic(system, box_radius: int = 4, ball_radius: int = 3,
-                   perron_data: PerronData | None = None,
-                   tol: float = 1e-9) -> AperiodicityVerdict:
-    """Aperiodicity verdict: the action is G-aperiodic when Per = {0}.
-    A nontrivial lattice refutes aperiodicity outright; a trivial one
-    settles it when ``lattice.exact``, and otherwise only says that no
-    periodicity was found within (box, ball)."""
-    lattice = periodicity_group(system, box_radius, ball_radius,
-                                perron_data, tol)
-    return AperiodicityVerdict(lattice.rank == 0, lattice)

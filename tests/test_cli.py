@@ -340,14 +340,17 @@ def test_analyze_keeps_detail_of_trivial_generator(trivial_extension_system):
 
 
 def _count_stage_calls(monkeypatch):
-    """Wrap the lattice and spectral stages at every binding the
-    pipeline reaches them through; returns the live call counts."""
+    """Wrap the lattice, spectral and invariance stages at every binding
+    the pipeline reaches them through; returns the live call counts."""
     import ssgraph.cli
     import ssgraph.kms
     import ssgraph.periodicity
-    calls = {"periodicity_group": 0, "spectral_data": 0}
+    import ssgraph.perron
+    calls = {"periodicity_group": 0, "spectral_data": 0,
+             "check_g_invariance": 0}
     for name in calls:
-        original = getattr(ssgraph.periodicity, name)
+        original = getattr(ssgraph.perron, name, None) or getattr(
+            ssgraph.periodicity, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
@@ -364,11 +367,13 @@ def test_each_stage_runs_once_per_verb(tmp_path, monkeypatch):
     calls = _count_stage_calls(monkeypatch)
     assert main(["analyze", str(model), "--json",
                  str(tmp_path / "a.json")]) == EXIT_OK
-    assert calls == {"periodicity_group": 1, "spectral_data": 1}
-    calls.update(periodicity_group=0, spectral_data=0)
+    assert calls == {"periodicity_group": 1, "spectral_data": 1,
+                     "check_g_invariance": 1}
+    calls.update(dict.fromkeys(calls, 0))
     assert main(["kms-eval", str(model), "--samples", "2", "--json",
                  str(tmp_path / "k.json")]) == EXIT_OK
-    assert calls == {"periodicity_group": 1, "spectral_data": 1}
+    assert calls == {"periodicity_group": 1, "spectral_data": 1,
+                     "check_g_invariance": 1}
 
 
 def test_each_build_happens_once_per_analyze(tmp_path, monkeypatch):
@@ -582,11 +587,15 @@ def one_way_model_path(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["gen", "odometer", "--n", "1"],
     ["gen", "katsura", "--t", "2,1", "--b", "1,1,1"],
-    ["per"], ["kms-eval"]], ids=["odometer", "katsura", "per", "kms-eval"])
+    ["per"], ["kms-eval"], ["analyze"]],
+    ids=["odometer", "katsura", "per", "kms-eval", "missing-model"])
 def test_library_errors_exit_2(tmp_path, capsys, argv):
-    # spectral_data refuses the model verbs' graph
+    # spectral_data refuses the graph of per and kms-eval; analyze gets
+    # a model file that is not there
     if argv[0] != "gen":
-        argv = argv + [str(one_way_model_path(tmp_path))]
+        model = (tmp_path / "missing.json" if argv[0] == "analyze"
+                 else one_way_model_path(tmp_path))
+        argv = argv + [str(model)]
     assert main(argv) == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error:")

@@ -409,8 +409,8 @@ def test_cycline_search_runs_once_per_reduced_state(monkeypatch):
 def test_cycline_cap_bounds_verify_kms():
     # odometer (2,2) needs more than one fixpoint state per search
     capped = build_odometer((2, 2), ActionCaps(state_cap=1))
-    state = make_kms_state(capped,
-                           lattice=periodicity_group(build_odometer((2, 2))))
+    state = dataclasses.replace(make_kms_state(build_odometer((2, 2))),
+                                system=capped)
     with pytest.raises(ClosureExceeded, match="cap state_cap=1 "):
         verify_kms(state, sample_count=0)
 
@@ -659,7 +659,12 @@ def test_simplex_summaries(odo22, odo23, kat21, swap_system):
     assert "1-torus" in torus.verdict
     assert torus.basis == ((1, -1),)
 
+    state = make_kms_state(odo22)
+    assert (torus.exists, torus.rank, torus.basis, torus.verdict) == (
+        state.exists, state.rank, state.basis, state.verdict)
+
     empty = simplex_summary(swap_system)
     assert not empty.exists
     assert empty.verdict == "empty"
     assert empty.rank is None
+    assert empty.lattice is None

@@ -17,8 +17,7 @@ from ssgraph.models import BUILTIN_KATSURA, BUILTIN_ODOMETERS, \
     build_katsura, build_odometer, expected_odometer_per, gamma_bijection, \
     odometer_path
 from ssgraph.periodicity import box_scan_group, cycline_partner, \
-    cycline_triples, is_cycline, is_g_aperiodic, periodicity_group, \
-    sigma_contains
+    cycline_triples, is_cycline, periodicity_group, sigma_contains
 from ssgraph.perron import rho_kernel_lattice, spectral_data
 
 from tests.conftest import BENCH_MODELS, bench_model
@@ -176,12 +175,12 @@ def test_katsura_aperiodic(kat21, kat32):
 
 
 def test_aperiodicity_verdicts(odo22, odo23):
-    verdict = is_g_aperiodic(odo23, box_radius=4, ball_radius=2)
-    assert verdict.aperiodic
-    assert verdict.lattice.rank == 0
-    verdict = is_g_aperiodic(odo22, box_radius=4, ball_radius=2)
-    assert not verdict.aperiodic
-    assert verdict.lattice.basis == ((1, -1),)
+    # aperiodic means Per = {0}, settled only by an exact lattice
+    lattice = periodicity_group(odo23, box_radius=4, ball_radius=2)
+    assert (lattice.rank, lattice.exact) == (0, True)
+    lattice = periodicity_group(odo22, box_radius=4, ball_radius=2)
+    assert (lattice.rank, lattice.exact) == (1, True)
+    assert lattice.basis == ((1, -1),)
 
 
 def test_lattice_contains_helper(odo22):
