@@ -161,8 +161,8 @@ class ActionSystem:
             eid = self._letter_act(letter, (ce[0], eid))
         if len(out) > self.caps.max_word_length:
             raise ClosureExceeded(
-                f"restriction word length {len(out)} exceeds cap "
-                f"{self.caps.max_word_length}")
+                f"restriction word exceeds cap max_word_length="
+                f"{self.caps.max_word_length} (reached {len(out)} letters)")
         self._res_memo[memo_key] = out
         return out
 
@@ -519,9 +519,15 @@ def check_degenerate_property(sys: ActionSystem, arcs) -> bool:
 
 
 def validate_action(sys: ActionSystem) -> ValidationReport:
-    """Check that every generator is a degree-preserving automorphism
-    compatible with the factorization squares and the self-similarity
-    laws on edges."""
+    """Check what a generator table can get wrong: that every generator
+    is a degree-preserving automorphism with well-formed restriction
+    words, compatible with the factorization squares.
+
+    The cocycle laws need no check of their own.  A word acts letter by
+    letter, so (gh).e = g.(h.e) and (gh)|e = g|(h.e) h|e hold by
+    definition, and a canonical key acts exactly like its word.  The
+    law g|(ef) = (g|e)|f is trivial on a color-sorted pair and is the
+    square check's restriction test on every other pair."""
     rep = ValidationReport()
     graph = sys.graph
     for idx, gen in enumerate(sys.generators):
@@ -555,7 +561,6 @@ def validate_action(sys: ActionSystem) -> ValidationReport:
     gens = [sys.generator_element(g.name) for g in sys.generators]
     elements = gens + [sys.inverse(g) for g in gens]
     _check_square_coherence(sys, elements, rep)
-    _check_laws_on_edges(sys, elements, rep)
     return rep
 
 
@@ -586,39 +591,3 @@ def _check_square_coherence(sys, elements, rep):
                     rep.add(f"restriction differs across square ({i},{j}) "
                             f"({f_id},{g_id}) for {sys.describe(elem)}")
                     return
-
-
-def _check_laws_on_edges(sys, elements, rep):
-    graph = sys.graph
-    edge_paths = [graph.path([e]) for row in graph.edges for e in row]
-    for g in elements:
-        for h in elements:
-            gh = sys.multiply(g, h)
-            for mu in edge_paths:
-                left = sys.act_path(gh, mu)
-                right = sys.act_path(g, sys.act_path(h, mu))
-                if left != right:
-                    rep.add(f"law (v) action fails for {sys.describe(g)}, "
-                            f"{sys.describe(h)} on edge {mu.edges[0]}")
-                    return
-                r_left = sys.restrict_path(gh, mu)
-                r_right = sys.multiply(
-                    sys.restrict_path(g, sys.act_path(h, mu)),
-                    sys.restrict_path(h, mu))
-                if not sys.equal(r_left, r_right):
-                    rep.add(f"law (v) restriction fails for {sys.describe(g)}, "
-                            f"{sys.describe(h)} on edge {mu.edges[0]}")
-                    return
-    for g in elements:
-        for e_path in edge_paths:
-            e = e_path.edges[0]
-            for color in range(graph.k):
-                for f in graph.edges_from(e.source, color):
-                    two = graph.compose(e_path, graph.path([f]))
-                    r_joint = sys.restrict_path(g, two)
-                    r_iter = sys.restrict_path(
-                        sys.restrict_path(g, e_path), graph.path([f]))
-                    if not sys.equal(r_joint, r_iter):
-                        rep.add(f"law (iii) fails for {sys.describe(g)} on "
-                                f"edges ({e.color},{e.id}),({f.color},{f.id})")
-                        return

@@ -53,9 +53,6 @@ def hnf_basis(vectors, k: int) -> tuple[Vector, ...]:
                        for s, r in zip(rows[idx], row)]
                 rows[idx] = combined
             idx += 1
-    for row in rows:
-        if row[_pivot(row)] < 0:
-            row[:] = [-x for x in row]
     for i in range(len(rows)):
         col = _pivot(rows[i])
         for above in range(i):

@@ -191,7 +191,7 @@ def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
         system.graph)
     if data.rho_int is None:
         return box_scan_group(system, box_radius, ball_radius, data, tol)
-    kernel = rho_kernel_lattice(data, box_radius)
+    kernel = rho_kernel_lattice(data)
 
     def lattice(basis, exact, vectors, elements):
         return PeriodicityLattice(len(basis), basis, box_radius, ball_radius,

@@ -13,13 +13,12 @@ since Python 3.12, which would tie the reported bits to the version.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NoConvergence, NotStronglyConnected
-from .intlattice import hnf_basis, kernel_basis, prime_exponents
+from .intlattice import kernel_basis, prime_exponents
 from .kgraph import KGraph
 
 INTEGER_TOL = 1e-9
@@ -117,27 +116,16 @@ def check_g_invariance(data: PerronData, system, tol: float = 1e-9) -> bool:
     return True
 
 
-def rho_kernel_lattice(data: PerronData, box_radius: int,
-                       tol: float = 1e-9):
-    """Hermite basis of the kernel K = {z : rho ** z == 1}.
-
-    With integer-certified radii, K is the kernel of the matrix of
-    their prime exponents, computed exactly and without ``box_radius``;
-    otherwise it is spanned by the box vectors that pass the float
-    test."""
-    k = len(data.rho)
-    if data.rho_int is not None:
-        factors = [prime_exponents(r) for r in data.rho_int]
-        primes = sorted({p for f in factors for p in f})
-        return kernel_basis([[f.get(p, 0) for f in factors] for p in primes],
-                            k)
-    members = []
-    for z in itertools.product(range(-box_radius, box_radius + 1), repeat=k):
-        if all(v == 0 for v in z):
-            continue
-        if rho_power_is_one(data, z, tol):
-            members.append(z)
-    return hnf_basis(members, k)
+def rho_kernel_lattice(data: PerronData):
+    """Hermite basis of the kernel K = {z : rho ** z == 1}: the kernel
+    of the matrix of the certified radii's prime exponents, exactly.
+    Raises ValueError when the radii have no integer certificate."""
+    if data.rho_int is None:
+        raise ValueError("the kernel of rho needs integer-certified radii")
+    factors = [prime_exponents(r) for r in data.rho_int]
+    primes = sorted({p for f in factors for p in f})
+    return kernel_basis([[f.get(p, 0) for f in factors] for p in primes],
+                        len(data.rho_int))
 
 
 def rho_power_is_one(data: PerronData, z, tol: float = 1e-9) -> bool:

@@ -244,7 +244,7 @@ def test_criterion_9_lattice_containment(odo22, odo23, odo24, odo623,
     failures = []
     for system in (odo22, odo23, odo24, odo623, kat21, kat32):
         data = spectral_data(system.graph)
-        kernel = rho_kernel_lattice(data, box_radius=4)
+        kernel = rho_kernel_lattice(data)
         lattice = periodicity_group(system, box_radius=4, ball_radius=3,
                                     perron_data=data)
         for vector in lattice.basis:

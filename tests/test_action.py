@@ -5,10 +5,12 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ssgraph.action import ActionCaps, ActionSystem, check_locally_faithful, \
-    check_pseudo_free, restriction_graph, validate_action
-from ssgraph.errors import ClosureExceeded, PreconditionViolated
-from ssgraph.kgraph import add_degrees
+from ssgraph.action import ActionCaps, ActionSystem, GeneratorTable, \
+    check_locally_faithful, check_pseudo_free, restriction_graph, \
+    validate_action
+from ssgraph.errors import ClosureExceeded, PreconditionViolated, \
+    ValidationReport
+from ssgraph.kgraph import Edge, KGraph, add_degrees
 from ssgraph.models import BUILTIN_KATSURA, BUILTIN_ODOMETERS, \
     KatsuraSystem, build_katsura, build_odometer, degree_weight, \
     odometer_path, odometer_value
@@ -243,6 +245,103 @@ def test_product_acts_as_composition(odo22):
         assert odo22.equal(left, right)
 
 
+def _check_laws_on_edges(sys, elements, rep):
+    """Reference check of laws (v) and (iii) on single edges over
+    ``elements``, which the word engine meets by construction; the first
+    failure goes into ``rep``."""
+    graph = sys.graph
+    edge_paths = [graph.path([e]) for row in graph.edges for e in row]
+    for g in elements:
+        for h in elements:
+            gh = sys.multiply(g, h)
+            for mu in edge_paths:
+                left = sys.act_path(gh, mu)
+                right = sys.act_path(g, sys.act_path(h, mu))
+                if left != right:
+                    rep.add(f"law (v) action fails for {sys.describe(g)}, "
+                            f"{sys.describe(h)} on edge {mu.edges[0]}")
+                    return
+                r_left = sys.restrict_path(gh, mu)
+                r_right = sys.multiply(
+                    sys.restrict_path(g, sys.act_path(h, mu)),
+                    sys.restrict_path(h, mu))
+                if not sys.equal(r_left, r_right):
+                    rep.add(f"law (v) restriction fails for {sys.describe(g)}, "
+                            f"{sys.describe(h)} on edge {mu.edges[0]}")
+                    return
+    for g in elements:
+        for e_path in edge_paths:
+            e = e_path.edges[0]
+            for color in range(graph.k):
+                for f in graph.edges_from(e.source, color):
+                    two = graph.compose(e_path, graph.path([f]))
+                    r_joint = sys.restrict_path(g, two)
+                    r_iter = sys.restrict_path(
+                        sys.restrict_path(g, e_path), graph.path([f]))
+                    if not sys.equal(r_joint, r_iter):
+                        rep.add(f"law (iii) fails for {sys.describe(g)} on "
+                                f"edges ({e.color},{e.id}),({f.color},{f.id})")
+                        return
+
+
+def _random_tables(graph, rng):
+    """1-3 endpoint-respecting, bijective generator tables whose
+    restriction words have at most 2 letters."""
+    count = rng.randint(1, 3)
+    letters = [i for i in range(-count, count + 1) if i]
+    tables = []
+    for idx in range(count):
+        vertex_map = list(range(graph.num_vertices))
+        rng.shuffle(vertex_map)
+        act, restrict = {}, {}
+        for color, row in enumerate(graph.edges):
+            by_ends: dict = {}
+            for e in row:
+                by_ends.setdefault((e.range_vertex, e.source), []).append(e.id)
+            for (r, s), ids in by_ends.items():
+                images = list(by_ends[(vertex_map[r], vertex_map[s])])
+                rng.shuffle(images)
+                for eid, image in zip(ids, images):
+                    act[(color, eid)] = image
+                    restrict[(color, eid)] = tuple(
+                        rng.choice(letters) for _ in range(rng.randint(0, 2)))
+        tables.append(GeneratorTable(f"g{idx}", tuple(vertex_map), act,
+                                     restrict))
+    return tables
+
+
+def test_tables_satisfy_laws_v_and_iii_by_construction():
+    # a word acts letter by letter, so law (v) cannot fail, and law
+    # (iii) fails only where the square check finds an incoherent square
+    from tests.conftest import make_loops_graph
+    two_vertices = KGraph(1, 2, [[Edge(0, 0, 0, 0), Edge(1, 0, 1, 1),
+                                  Edge(2, 0, 1, 0), Edge(3, 0, 0, 1)]], {})
+    graphs = [make_loops_graph(2), make_loops_graph(3), two_vertices,
+              build_odometer((2, 2)).graph, build_odometer((2, 3)).graph]
+    caps = ActionCaps(max_closure=200, max_word_length=16,
+                      max_pair_states=200)
+    rng = random.Random(19)
+    checked = law_iii_failures = 0
+    for trial in range(200):
+        graph = graphs[trial % len(graphs)]
+        system = ActionSystem(graph, _random_tables(graph, rng), caps)
+        laws = ValidationReport()
+        try:
+            report = validate_action(system)
+            gens = [system.generator_element(g.name)
+                    for g in system.generators]
+            _check_laws_on_edges(
+                system, gens + [system.inverse(g) for g in gens], laws)
+        except ClosureExceeded:
+            continue
+        checked += 1
+        assert not any(p.startswith("law (v)") for p in laws.problems)
+        if laws.problems:
+            law_iii_failures += 1
+            assert not report.ok
+    assert checked >= 90 and law_iii_failures > 0
+
+
 def test_identity_fixes_everything(odo23):
     for mu in odo23.graph.paths_of_degree((2, 2)):
         assert odo23.act_path(odo23.identity, mu) == mu
@@ -296,8 +395,10 @@ def test_word_length_cap_raises():
                               {(0, 0): (1, 1), (0, 1): ()})
     system = ActionSystem(make_loops_graph(2), (doubling,),
                           caps=ActionCaps(max_word_length=8))
-    with pytest.raises(ClosureExceeded):
+    with pytest.raises(ClosureExceeded) as err:
         closure_of(system)
+    assert str(err.value) == ("restriction word exceeds cap "
+                              "max_word_length=8 (reached 16 letters)")
 
 
 def test_hypotheses_hold_on_builtins(odo22, odo23, odo24, odo623, kat21,
@@ -365,6 +466,16 @@ def test_validate_rejects_non_bijection():
     report = validate_action(ActionSystem(make_loops_graph(2), (collapse,)))
     assert not report.ok
     assert any("bijection" in p for p in report.problems)
+    from tests.conftest import make_fibonacci_graph
+    fold = GeneratorTable("f", (0, 0), {(0, e): e for e in range(3)}, {})
+    partial = GeneratorTable("p", (0,), {(0, 0): 1}, {})
+    for graph, table, problem in (
+            (make_fibonacci_graph(), fold,
+             "generator 'f': vertex map is not a permutation"),
+            (make_loops_graph(2), partial,
+             "generator 'p': color 0 edge action is incomplete")):
+        assert validate_action(ActionSystem(graph, (table,))).problems \
+            == [problem]
 
 
 def test_validate_rejects_swapped_vertices(swap_system):
@@ -379,6 +490,25 @@ def test_validate_rejects_bad_restriction_index():
                          {(0, 0): (), (0, 1): (2,)})
     report = validate_action(ActionSystem(make_loops_graph(2), (bad,)))
     assert not report.ok
+
+
+def test_validate_rejects_incoherent_squares(odo22):
+    # s swaps the color-0 edges and fixes the color-1 edges, which moves
+    # the two factorizations of a square apart.  b fixes every edge, but
+    # its restriction (+1)^2 along color-0 edge 0 carries into color 1,
+    # which the other factorization, through a trivial restriction,
+    # does not: only the restrictions differ.
+    plus = odo22.generators[0]
+    swap = GeneratorTable("s", (0,), {(0, 0): 1, (0, 1): 0, (1, 0): 0,
+                                      (1, 1): 1}, dict.fromkeys(plus.act, ()))
+    fixing = GeneratorTable("b", (0,), {ce: ce[1] for ce in plus.act},
+                            {**dict.fromkeys(plus.act, ()), (0, 0): (1, 1)})
+    for tables, problem in (
+            ((swap,), "law (i) fails on square (0,1) (0,0) for s"),
+            ((plus, fixing),
+             "restriction differs across square (0,1) (0,0) for b")):
+        report = validate_action(ActionSystem(odo22.graph, tables))
+        assert report.problems == [problem]
 
 
 def test_element_from_word_rejects_bad_letters(odo22, word_odometer22):

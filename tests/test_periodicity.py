@@ -195,7 +195,7 @@ def test_periodicity_inside_rho_kernel(odo22, odo23, odo24, odo623, kat21,
         data = spectral_data(system.graph)
         per = periodicity_group(system, box_radius=3, ball_radius=1,
                                 perron_data=data)
-        kernel = rho_kernel_lattice(data, 3)
+        kernel = rho_kernel_lattice(data)
         for vector in per.basis:
             assert lattice_contains(kernel, vector)
 
@@ -266,7 +266,7 @@ def test_kernel_basis_failing_falls_back_to_the_box(flip_square_system):
     assert validate_action(system).ok
     data = spectral_data(system.graph)
     assert data.rho_int == (2, 2)
-    assert rho_kernel_lattice(data, 0) == ((1, -1),)
+    assert rho_kernel_lattice(data) == ((1, -1),)
     lattice = periodicity_group(system, perron_data=data)
     assert lattice.basis == ()
     assert not lattice.exact
@@ -330,17 +330,20 @@ def test_kernel_vectors_and_negatives_agree(request, name):
     # closure are closed under inverses, so -b must agree
     cases = {case[0]: case for case in _oracle_cases()}
     if name in cases:
-        system, box = cases[name][1](), cases[name][2]
+        system = cases[name][1]()
     else:
-        system, box = request.getfixturevalue(name), 4
+        system = request.getfixturevalue(name)
     element_sets = [ssgraph.periodicity._ball(system, 3)]
     try:
         element_sets.append(system.nucleus())
     except ClosureExceeded:
         pass  # periodicity_group then searches the ball alone
     member = ssgraph.periodicity._per_member
+    data = spectral_data(system.graph)
+    # float radii take the box scan, which searches no kernel vector
+    kernel = rho_kernel_lattice(data) if data.rho_int is not None else ()
     for elements in element_sets:
-        for b in rho_kernel_lattice(spectral_data(system.graph), box):
+        for b in kernel:
             assert member(system, b, elements) \
                 == member(system, tuple(-v for v in b), elements)
 
