@@ -257,10 +257,11 @@ class _Products:
     A product's middle (its terms without the outer legs) is built
     once per distinct (g, nu) and (mu', h), from one ``lambda_min`` per
     pair of x's nu and y's mu ids, and only when that list is nonempty;
-    each distinct (mu, term, nu') cell is composed and evaluated once.
-    Cycline verdicts come from one ``split_front`` per (path, meet
-    degree) and one fixpoint search per reduced state, and gauge
-    factors from one ``_gauge_factor`` call per pair of degrees."""
+    each distinct (mu, term, nu') cell is composed and evaluated once,
+    its source condition checked only by the middle, on its term.  Cycline
+    verdicts come from one ``split_front`` per (path, meet degree) and
+    one fixpoint search per reduced state, all over one ``shift_edge``
+    memo, and gauge factors from one ``_gauge_factor`` per degree pair."""
 
     def __init__(self, state: KmsState, big: _MonomialBlock):
         system = state.system
@@ -275,8 +276,9 @@ class _Products:
          self._rights, self._cells, self._values, self._scales) = (
             {}, {}, {}, {}, {}, {}, {}, {})
         self._split = functools.cache(self.graph.split_front)
+        shift = functools.cache(self.graph.shift_edge)
         self._verdict = functools.cache(
-            lambda s: cycline_search(system, s).verdict)
+            lambda s: cycline_search(system, s, shift).verdict)
 
     def handle(self, m) -> tuple:
         paths = self.paths
@@ -298,32 +300,6 @@ class _Products:
             hit = self._met[pair] = \
                 self.graph.meet_tails(mu, nu, self._split) is not None
         return hit
-
-    def live(self, x: tuple, y: tuple) -> bool:
-        """Whether x's mu meets y's nu and x's nu meets y's mu; both
-        products of any other pair are empty."""
-        return (self.meets(x[0], x[4].mu, y[3], y[4].nu)
-                and self.meets(x[3], x[4].nu, y[0], y[4].mu))
-
-    def product(self, x: tuple, y: tuple) -> list:
-        """The nonzero values of xy's monomials in ``multiply``'s order;
-        distinct extensions give distinct keys (unique factorization),
-        so each key carries coefficient one, as in ``multiply``."""
-        span = self.span
-        middle = self._middles.get(x[1] * span + y[2])
-        if middle is None:
-            middle = self._middles[x[1] * span + y[2]] = self._middle(x, y)
-        cells = self._cells
-        p, q = x[0], y[3]
-        out = []
-        for t in middle:
-            cell = (t * span + p) * span + q
-            value = cells.get(cell)
-            if value is None:
-                value = cells[cell] = self._cell(t, x, y)
-            if value:
-                out.append(value)
-        return out
 
     def _middle(self, x: tuple, y: tuple) -> tuple:
         legs = x[3] * self.span + y[0]
@@ -353,14 +329,20 @@ class _Products:
         key = algebra.Monomial(left, g, right)
         value = self._values.get(key)
         if value is None:
-            # _evaluate_monomial, with is_cycline's source check
-            algebra._checked_monomial(self.system, left, g, right)
+            # _evaluate_monomial; _product_middle made its source check
             tails = self.graph.meet_tails(left, right, self._split)
             value = self._values[key] = (
                 0j if tails is None or not self._verdict(
                     CyclineState(tails[0], g, tails[1]))
                 else _cycline_value(self.state, key))
         return value
+
+
+def _draws(rng: random.Random, n: int):
+    """Endless indices below n > 0, as CPython's ``rng.choice(range(n))``
+    draws them: n.bit_length() random bits, redrawn while they reach n."""
+    return filter(n.__gt__, iter(
+        functools.partial(rng.getrandbits, n.bit_length()), None))
 
 
 def verify_kms(state: KmsState, sample_count: int = 500,
@@ -377,7 +359,8 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     their degrees.  Both products of any other pair are empty, so it
     holds as 0 = 0.  Live block pairs run in the order of the full
     (i, j >= i) loop, each unordered pair on its two products xy and
-    yx.  Every check equals ``evaluate(multiply(x, y))`` against
+    yx.  ``_draws`` draws each sample's indices as ``rng.choice(big)``
+    would.  Every check equals ``evaluate(multiply(x, y))`` against
     ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly, so the
     report and any error are those of that loop.  The products and
     their memos are a ``_Products`` table that lives for the call."""
@@ -396,7 +379,8 @@ def verify_kms(state: KmsState, sample_count: int = 500,
             f"of {max_checks}; raise it with --max-checks")
     big = _MonomialBlock(system, (2,) * system.graph.k, elements)
     table = _Products(state, big)
-    product = table.product
+    span, middles, cells = table.span, table._middles, table._cells
+    area = span * span
     worst = 0.0
     nonzero = 0
 
@@ -423,32 +407,44 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     partners = {(a, b): sorted(j for c in near[b] for d in near[a]
                                for j in buckets.get((c, d), ()))
                 for a, b in buckets}
-    for i, x in enumerate(handles):
-        row = partners[x[0], x[3]]
-        for j in row[bisect.bisect_left(row, i):]:
-            y = handles[j]
-            xy = product(x, y)
-            yx = product(y, x)
-            if xy or yx:
-                tally(xy, yx, x[5])
-                if j != i:
-                    tally(yx, xy, y[5])
-    # rng.choice reads only len and one index, so drawing from a range
-    # of len(big) gives the indices of rng.choice(big)'s draws
-    rng = random.Random(seed)
-    indices = range(len(big))
-    drawn: dict = {}
-    for _ in range(sample_count):
-        pair = rng.choice(indices), rng.choice(indices)
-        for i in pair:
-            if i not in drawn:
-                drawn[i] = table.handle(big[i])
-        x, y = drawn[pair[0]], drawn[pair[1]]
-        if table.live(x, y):
-            xy = product(x, y)
-            yx = product(y, x)
-            if xy or yx:
-                tally(xy, yx, x[5])
+
+    def pairs():
+        # live block pairs in the full (i, j >= i) loop's order, with
+        # whether yx is a pair of its own, then the live samples
+        for i, x in enumerate(handles):
+            row = partners[x[0], x[3]]
+            for j in row[bisect.bisect_left(row, i):]:
+                yield x, handles[j], j != i
+        draws = _draws(random.Random(seed), len(big))
+        drawn: dict = {}
+        for i, j in itertools.islice(zip(draws, draws), sample_count):
+            x = drawn.get(i) or drawn.setdefault(i, table.handle(big[i]))
+            y = drawn.get(j) or drawn.setdefault(j, table.handle(big[j]))
+            if table.meets(x[0], x[4].mu, y[3], y[4].nu) and table.meets(
+                    x[3], x[4].nu, y[0], y[4].mu):
+                yield x, y, False
+
+    for x, y, mirrored in pairs():
+        sides = []
+        for a, b in (x, y), (y, x):
+            # ab's nonzero monomial values in ``multiply``'s order;
+            # distinct extensions give distinct keys, of coefficient one
+            middle = middles.get(a[1] * span + b[2])
+            if middle is None:
+                middle = middles[a[1] * span + b[2]] = table._middle(a, b)
+            base, side = a[0] * span + b[3], []
+            for t in middle:
+                value = cells.get(t * area + base)
+                if value is None:
+                    value = cells[t * area + base] = table._cell(t, a, b)
+                if value:
+                    side.append(value)
+            sides.append(side)
+        xy, yx = sides
+        if xy or yx:
+            tally(xy, yx, x[5])
+            if mirrored:
+                tally(yx, xy, y[5])
     return KmsReport(worst < tol, worst, needed, tol, nonzero)
 
 

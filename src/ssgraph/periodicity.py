@@ -71,11 +71,14 @@ def is_cycline(system, mu: Path, g, nu: Path) -> CyclineCertificate:
     return cycline_search(system, CyclineState(tails[0], g, tails[1]))
 
 
-def cycline_search(system, start: CyclineState) -> CyclineCertificate:
+def cycline_search(system, start: CyclineState,
+                   shift=None) -> CyclineCertificate:
     """The fixpoint from a reduced state, whose degrees have disjoint
     support: a breadth-first search of at most ``system.caps.state_cap``
-    states."""
+    states.  ``shift`` stands in for ``KGraph.shift_edge``, e.g. a
+    caller's memo of it shared by many searches on one graph."""
     graph = system.graph
+    shift = shift or graph.shift_edge
     state_cap = system.caps.state_cap
     seen = {start}
     queue = deque([start])
@@ -83,9 +86,9 @@ def cycline_search(system, start: CyclineState) -> CyclineCertificate:
         state = queue.popleft()
         for color in range(graph.k):
             for e in graph.edges_from(state.beta.source, color):
-                left_head, left_tail = graph.shift_edge(
+                left_head, left_tail = shift(
                     state.alpha, system.act_edge(state.h, e))
-                right_head, right_tail = graph.shift_edge(state.beta, e)
+                right_head, right_tail = shift(state.beta, e)
                 if left_head != right_head:
                     return CyclineCertificate(False, start, (),
                                               (state, e))

@@ -406,6 +406,25 @@ def test_cycline_search_runs_once_per_reduced_state(monkeypatch):
     assert len(starts) == len(set(starts)) == 431
 
 
+def test_each_shift_is_computed_once_per_call(odo22, monkeypatch):
+    # the fixpoint searches of one call share a shift_edge memo: the
+    # searches alone make 2,222 calls here, 152 of them distinct, and a
+    # second call computes every shift again
+    state = make_kms_state(odo22)
+    shifts = []
+    shift_edge = KGraph.shift_edge
+
+    def counted(graph, alpha, f):
+        shifts.append((alpha, f))
+        return shift_edge(graph, alpha, f)
+
+    monkeypatch.setattr(KGraph, "shift_edge", counted)
+    for _ in range(2):
+        verify_kms(state, sample_count=500, seed=7)
+        assert len(shifts) == len(set(shifts)) == 152
+        shifts.clear()
+
+
 def test_cycline_cap_bounds_verify_kms():
     # odometer (2,2) needs more than one fixpoint state per search
     capped = build_odometer((2, 2), ActionCaps(state_cap=1))
@@ -601,6 +620,17 @@ def test_sample_draws_are_built_once_per_index(monkeypatch):
     assert (report.ok, report.max_deviation, report.checked,
             report.nonzero) == (True, 0.0, 4324, 65)
     assert len(calls) < 200
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 98, 4802, 2 ** 20 + 1])
+def test_draws_match_random_choice(n):
+    # verify_kms's samples are these indices; the random docs do not
+    # promise that choice keeps its algorithm across Python versions
+    for seed in range(5):
+        drawn = list(itertools.islice(kms._draws(random.Random(seed), n),
+                                      1000))
+        rng = random.Random(seed)
+        assert drawn == [rng.choice(range(n)) for _ in range(1000)]
 
 
 def test_kms_check_fails_off_the_lattice(odo22):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -5,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import ssgraph.kms
 import ssgraph.periodicity
 import ssgraph.perron
 from ssgraph.action import ActionCaps, ActionSystem, validate_action
@@ -12,12 +14,14 @@ from ssgraph.algebra import periodicity_unitary
 from ssgraph.errors import BoxClosureViolation, ClosureExceeded, \
     PreconditionViolated
 from ssgraph.intlattice import hnf_basis, lattice_contains
+from ssgraph.kms import make_kms_state, verify_kms
 from ssgraph.kgraph import validate_kgraph
 from ssgraph.models import BUILTIN_KATSURA, BUILTIN_ODOMETERS, \
     build_katsura, build_odometer, expected_odometer_per, gamma_bijection, \
     odometer_path
 from ssgraph.periodicity import box_scan_group, cycline_partner, \
-    cycline_triples, is_cycline, periodicity_group, sigma_contains
+    cycline_search, cycline_triples, is_cycline, periodicity_group, \
+    sigma_contains
 from ssgraph.perron import rho_kernel_lattice, spectral_data
 
 from tests.conftest import BENCH_MODELS, bench_model
@@ -120,6 +124,47 @@ def test_state_cap_names_cap_limit_and_reach():
         is_cycline(system, mu, system.identity, nu)
     assert str(err.value) == ("cycline fixpoint exceeds cap state_cap=2 "
                               "(reached 3 states)")
+
+
+def recorded_starts(module, monkeypatch, run):
+    """The start states of the cycline searches that ``module`` makes
+    while ``run()`` runs."""
+    starts = []
+    search = module.cycline_search
+
+    def recorded(system, start, *args):
+        starts.append(start)
+        return search(system, start, *args)
+
+    monkeypatch.setattr(module, "cycline_search", recorded)
+    run()
+    monkeypatch.setattr(module, "cycline_search", search)
+    return starts
+
+
+def test_shift_memo_keeps_every_certificate(odo22, kat2v, odo24, odo623,
+                                            monkeypatch):
+    # the reduced states verify_kms searches, and _per_member's searches
+    # behind the kernel lattices; one memo serves all of a system's
+    # searches, as in verify_kms
+    cases = [(system, recorded_starts(ssgraph.kms, monkeypatch, lambda:
+              verify_kms(make_kms_state(system), 500, seed=1)))
+             for system in (odo22, kat2v)]
+    cases += [(system, recorded_starts(ssgraph.periodicity, monkeypatch,
+                                       lambda: periodicity_group(system)))
+              for system in (odo24, odo623)]
+    verdicts = set()
+    for system, starts in cases:
+        assert starts
+        shift = functools.cache(system.graph.shift_edge)
+        for start in starts:
+            plain = cycline_search(system, start)
+            memo = cycline_search(system, start, shift)
+            assert (memo.verdict, memo.reduced, set(memo.states),
+                    memo.failure) == (plain.verdict, plain.reduced,
+                                      set(plain.states), plain.failure)
+            verdicts.add(plain.verdict)
+    assert verdicts == {True, False}
 
 
 def test_partner_extraction(odo24):
