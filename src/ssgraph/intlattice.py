@@ -114,3 +114,17 @@ def lattice_coordinates(basis, z: Vector):
 
 def lattice_contains(basis, z: Vector) -> bool:
     return lattice_coordinates(basis, z) is not None
+
+
+def lattice_residue(basis, z: Vector) -> Vector:
+    """The canonical representative of ``z`` modulo a Hermite basis:
+    each row, in pivot order, reduces its pivot coordinate into
+    [0, pivot).  Two vectors differ by a lattice vector exactly when
+    their residues are equal, and the lattice's residue is 0."""
+    rest = list(z)
+    for row in basis:
+        col = _pivot(row)
+        q = rest[col] // row[col]
+        if q:
+            rest = [r - q * x for r, x in zip(rest, row)]
+    return tuple(rest)

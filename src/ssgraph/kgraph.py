@@ -13,6 +13,7 @@ keep them out of dicts and sets that also hold unrelated tuple keys.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import NamedTuple
 
 from .errors import BadRange, NonComposable, ValidationReport
@@ -27,16 +28,16 @@ def unit_degree(k: int, color: int) -> Degree:
     return tuple(1 if i == color else 0 for i in range(k))
 
 def add_degrees(a: Degree, b: Degree) -> Degree:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 def sub_degrees(a: Degree, b: Degree) -> Degree:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 def meet_degrees(a: Degree, b: Degree) -> Degree:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 def join_degrees(a: Degree, b: Degree) -> Degree:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def leq_degrees(a: Degree, b: Degree) -> bool:
     return all(x <= y for x, y in zip(a, b))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import algebra
 from .errors import ClosureExceeded, NotInLattice, SimplexEmpty
-from .intlattice import lattice_coordinates
+from .intlattice import lattice_coordinates, lattice_residue
 from .kgraph import sub_degrees, unit_degree
 from .periodicity import (CyclineState, PeriodicityLattice, cycline_search,
                           is_cycline, periodicity_group)
@@ -248,7 +248,10 @@ class _Products:
     tables that are dropped with the call.
 
     ``handle(m)`` is (mu id, (g, nu) id, (mu, g) id, nu id, m, m's
-    gauge factor).  Paths, (g, nu), (mu, g) and product terms are
+    gauge factor, the class of z = d(mu) - d(nu), the class of -z).  A
+    class is z's residue modulo Per's Hermite basis when the lattice is
+    exact, and () on any other lattice, where no pair is refuted by
+    class.  Paths, (g, nu), (mu, g) and product terms are
     interned apart from the memos keyed on them (named tuples equal
     plain tuples); every path, (g, nu) and (mu, g) id is below
     ``span``, one per (g, nu) of the (2,...,2) block ``big``, so a memo
@@ -261,7 +264,8 @@ class _Products:
     its source condition checked only by the middle, on its term.  Cycline
     verdicts come from one ``split_front`` per (path, meet degree) and
     one fixpoint search per reduced state, all over one ``shift_edge``
-    memo, and gauge factors from one ``_gauge_factor`` per degree pair."""
+    memo, and gauge factors and classes from one ``_gauge_factor`` and
+    two residues per degree pair."""
 
     def __init__(self, state: KmsState, big: _MonomialBlock):
         system = state.system
@@ -273,8 +277,10 @@ class _Products:
         self._terms: dict = {}
         self._term_list = []
         (self._met, self._extensions, self._middles, self._lefts,
-         self._rights, self._cells, self._values, self._scales) = (
+         self._rights, self._cells, self._values, self._graded) = (
             {}, {}, {}, {}, {}, {}, {}, {})
+        self._class = (functools.partial(lattice_residue, state.lattice.basis)
+                       if state.lattice.exact else lambda z: ())
         self._split = functools.cache(self.graph.split_front)
         shift = functools.cache(self.graph.shift_edge)
         self._verdict = functools.cache(
@@ -283,14 +289,16 @@ class _Products:
     def handle(self, m) -> tuple:
         paths = self.paths
         degrees = m.mu.degree, m.nu.degree
-        scale = self._scales.get(degrees)
-        if scale is None:
-            scale = self._scales[degrees] = complex(
-                _gauge_factor(self.state, m))
+        graded = self._graded.get(degrees)
+        if graded is None:
+            graded = self._graded[degrees] = (
+                complex(_gauge_factor(self.state, m)),
+                self._class(sub_degrees(*degrees)),
+                self._class(sub_degrees(*degrees[::-1])))
         return (paths.setdefault(m.mu, len(paths)),
                 self._gnus.setdefault((m.g, m.nu), len(self._gnus)),
                 self._mugs.setdefault((m.mu, m.g), len(self._mugs)),
-                paths.setdefault(m.nu, len(paths)), m, scale)
+                paths.setdefault(m.nu, len(paths)), m, *graded)
 
     def meets(self, p: int, mu, q: int, nu) -> bool:
         """Whether paths mu and nu, of ids p and q, meet."""
@@ -356,14 +364,21 @@ def verify_kms(state: KmsState, sample_count: int = 500,
 
     Only live pairs are computed: those where x's mu meets y's nu and
     x's nu meets y's mu, that is, the two paths agree at the meet of
-    their degrees.  Both products of any other pair are empty, so it
-    holds as 0 = 0.  Live block pairs run in the order of the full
-    (i, j >= i) loop, each unordered pair on its two products xy and
-    yx.  ``_draws`` draws each sample's indices as ``rng.choice(big)``
-    would.  Every check equals ``evaluate(multiply(x, y))`` against
+    their degrees, and, on an exact lattice, where d(x) + d(y) lies in
+    Per, with d(m) = d(mu) - d(nu).  Both products of any other pair
+    are 0 under the state: off the meets they are empty, and every term
+    of xy and of yx has degree difference d(x) + d(y), while a state
+    vanishes off cycline monomials, whose degree differences lie in
+    Per.  On a lattice that is not exact the class test is off, so a
+    cycline term outside the lattice raises NotInLattice.  Live block
+    pairs run in the order of the full (i, j >= i) loop, each unordered
+    pair on its two products xy and yx.  ``_draws`` draws each sample's
+    indices as ``rng.choice(big)`` would.  Every check equals
+    ``evaluate(multiply(x, y))`` against
     ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly, so the
-    report and any error are those of that loop.  The products and
-    their memos are a ``_Products`` table that lives for the call."""
+    report is that of that loop, and so is any error of a computed
+    pair.  The products and their memos are a ``_Products`` table that
+    lives for the call."""
     _require(state)
     if sample_count < 0:
         raise ValueError(
@@ -396,17 +411,17 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     handles = [table.handle(x) for x in block]
     # the block's paths have ids 0, 1, ... in ``table.paths``'s order;
     # each (mu id, nu id) bucket lists the sorted block indices of the
-    # buckets whose pairs with it are live, so x enters its list at
-    # its own index
+    # buckets whose pairs with it are live and whose degree classes
+    # cancel modulo Per, so x's row from its own index on is its j >= i
     near = [[q for q, nu in enumerate(table.paths)
              if table.meets(p, mu, q, nu)]
             for p, mu in enumerate(table.paths)]
     buckets: dict = {}
     for i, x in enumerate(handles):
-        buckets.setdefault((x[0], x[3]), []).append(i)
+        buckets.setdefault((x[0], x[3], x[6], x[7]), []).append(i)
     partners = {(a, b): sorted(j for c in near[b] for d in near[a]
-                               for j in buckets.get((c, d), ()))
-                for a, b in buckets}
+                               for j in buckets.get((c, d, w, z), ()))
+                for a, b, z, w in buckets}
 
     def pairs():
         # live block pairs in the full (i, j >= i) loop's order, with
@@ -420,7 +435,8 @@ def verify_kms(state: KmsState, sample_count: int = 500,
         for i, j in itertools.islice(zip(draws, draws), sample_count):
             x = drawn.get(i) or drawn.setdefault(i, table.handle(big[i]))
             y = drawn.get(j) or drawn.setdefault(j, table.handle(big[j]))
-            if table.meets(x[0], x[4].mu, y[3], y[4].nu) and table.meets(
+            if x[6] == y[7] and table.meets(
+                    x[0], x[4].mu, y[3], y[4].nu) and table.meets(
                     x[3], x[4].nu, y[0], y[4].mu):
                 yield x, y, False
 

@@ -1,7 +1,9 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from ssgraph.intlattice import hnf_basis, lattice_contains, \
-    lattice_coordinates
+    lattice_coordinates, lattice_residue
 
 
 def test_known_hermite_forms():
@@ -75,3 +77,26 @@ def test_empty_basis_contains_only_zero():
     assert lattice_coordinates((), (1, 0)) is None
     assert lattice_contains((), (0, 0, 0))
     assert not lattice_contains((), (0, 1, 0))
+
+
+@st.composite
+def lattice_cases(draw):
+    """A Hermite basis in Z^k, k <= 3, a vector z and one coefficient
+    per basis row."""
+    k = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(-6, 6)] * k)
+    basis = hnf_basis(draw(st.lists(vector, max_size=3)), k)
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(basis),
+                           max_size=len(basis)))
+    return basis, draw(vector), coeffs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lattice_cases())
+def test_residue_is_the_class_modulo_the_lattice(case):
+    basis, z, coeffs = case
+    shifted = tuple(x + sum(c * row[i] for c, row in zip(coeffs, basis))
+                    for i, x in enumerate(z))
+    assert lattice_residue(basis, z) == lattice_residue(basis, shifted)
+    assert (not any(lattice_residue(basis, z))) == \
+        lattice_contains(basis, z)

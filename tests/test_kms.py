@@ -279,12 +279,14 @@ def reference_products():
 
 
 # odo23 has a rank-0 lattice, on which every trace is Haar; its block
-# of 288**2 pairs is the slowest, so it runs once
+# of 288**2 pairs is the slowest, so it runs once.  flip_square_system's
+# lattice comes from the box scan and is not exact, so its walk runs
+# without the degree-class test
 @pytest.mark.parametrize("name,kind", [
     ("odo22", "haar"), ("odo22", "character"), ("odo22", "mixture"),
     ("odo23", "haar"),
     ("kat21", "haar"), ("kat21", "character"), ("kat21", "mixture"),
-    ("kat2v", "haar")])
+    ("kat2v", "haar"), ("flip_square_system", "haar")])
 def test_fused_check_matches_reference_loop(name, kind, request,
                                             reference_products):
     system = request.getfixturevalue(name)
@@ -293,8 +295,9 @@ def test_fused_check_matches_reference_loop(name, kind, request,
     small = reference_monomials(system, (1,) * k)
     big = reference_monomials(system, (2,) * k)
     tol = 1e-9
-    rank = make_kms_state(system).lattice.rank
-    state = make_kms_state(system, trace=reference_trace(kind, rank))
+    lattice = make_kms_state(system).lattice
+    assert lattice.exact == (name != "flip_square_system")
+    state = make_kms_state(system, trace=reference_trace(kind, lattice.rank))
     # the (1,...,1) block does not depend on the seed
     block = reference_check(state, itertools.product(small, small), products)
     for seed, samples in ((5, 30), (2024, 45)):
@@ -389,9 +392,16 @@ def test_each_product_cell_is_composed_once(odo22, monkeypatch):
     assert len(calls) < 3000
 
 
+def without_class_test(state):
+    """A copy of ``state`` whose lattice is not marked exact, on which
+    ``verify_kms`` refutes no pair by its degree class."""
+    return dataclasses.replace(
+        state, lattice=dataclasses.replace(state.lattice, exact=False))
+
+
 def test_cycline_search_runs_once_per_reduced_state(monkeypatch):
     # asking is_cycline once per monomial runs 1,248 searches here,
-    # 431 of them distinct
+    # 431 of them distinct; the degree-class test leaves 75
     system = build_odometer((2, 2))
     state = make_kms_state(system)
     starts = []
@@ -402,14 +412,18 @@ def test_cycline_search_runs_once_per_reduced_state(monkeypatch):
         return search(system, start, *args)
 
     monkeypatch.setattr(kms, "cycline_search", counted)
-    verify_kms(state, sample_count=500, seed=1)
+    verify_kms(without_class_test(state), sample_count=500, seed=1)
     assert len(starts) == len(set(starts)) == 431
+    starts.clear()
+    verify_kms(state, sample_count=500, seed=1)
+    assert len(starts) == len(set(starts)) == 75
 
 
 def test_each_shift_is_computed_once_per_call(odo22, monkeypatch):
     # the fixpoint searches of one call share a shift_edge memo: the
-    # searches alone make 2,222 calls here, 152 of them distinct, and a
-    # second call computes every shift again
+    # searches alone make 2,222 calls here, 152 of them distinct (52
+    # with the degree-class test), and a second call computes every
+    # shift again
     state = make_kms_state(odo22)
     shifts = []
     shift_edge = KGraph.shift_edge
@@ -420,9 +434,36 @@ def test_each_shift_is_computed_once_per_call(odo22, monkeypatch):
 
     monkeypatch.setattr(KGraph, "shift_edge", counted)
     for _ in range(2):
-        verify_kms(state, sample_count=500, seed=7)
+        verify_kms(without_class_test(state), sample_count=500, seed=7)
         assert len(shifts) == len(set(shifts)) == 152
         shifts.clear()
+        verify_kms(state, sample_count=500, seed=7)
+        assert len(shifts) == len(set(shifts)) == 52
+        shifts.clear()
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 2), (2, 3), (3, 3)])
+def test_degree_class_test_changes_no_report(sizes):
+    # pairs whose degree sum lies off Per hold as 0 = 0, so refuting
+    # them by class leaves every report as the full walk makes it
+    system = build_odometer(sizes)
+    rank = make_kms_state(system).lattice.rank
+    for kind in ("haar", "character", "mixture"):
+        state = make_kms_state(system, trace=reference_trace(kind, rank))
+        assert state.lattice.exact
+        for seed in (5, 7):
+            got, full = (verify_kms(s, sample_count=1000, seed=seed)
+                         for s in (state, without_class_test(state)))
+            assert (got.ok, repr(got.max_deviation), got.checked,
+                    got.nonzero) == (full.ok, repr(full.max_deviation),
+                                     full.checked, full.nonzero)
+
+
+def test_rank_three_check_is_pinned():
+    report = verify_kms(make_kms_state(build_odometer((2, 2, 2))),
+                        sample_count=100)
+    assert (report.ok, repr(report.max_deviation), report.checked,
+            report.nonzero) == (True, '0.0', 2125864, 2883)
 
 
 def test_cycline_cap_bounds_verify_kms():
