@@ -82,24 +82,12 @@ class ActionSystem:
         self.graph = graph
         self.generators = tuple(generators)
         self.caps = caps or ActionCaps()
-        self._inv_act: list[dict[ColorEdge, int] | None] = []
-        for gen in self.generators:
-            inv: dict[ColorEdge, int] | None = {}
-            for (color, eid), img in gen.act.items():
-                if (color, img) in inv:
-                    inv = None  # not invertible; flagged by validate_action
-                    break
-                inv[(color, img)] = eid
-            self._inv_act.append(inv)
-        self._inv_vertex = []
-        for gen in self.generators:
-            inv_v = [0] * len(gen.vertex_map)
-            ok = len(set(gen.vertex_map)) == len(gen.vertex_map)
-            for v, w in enumerate(gen.vertex_map):
-                inv_v[w if ok else v] = v
-            self._inv_vertex.append(tuple(inv_v))
-        self._act_memo: dict[tuple[Word, ColorEdge], int] = {}
-        self._res_memo: dict[tuple[Word, ColorEdge], Word] = {}
+        # one (vertex map, edge map, restriction map) row per signed letter
+        self._rows: dict[int, tuple | None] = {}
+        for idx, gen in enumerate(self.generators, start=1):
+            self._rows[idx] = (gen.vertex_map, gen.act, gen.restrict)
+            self._rows[-idx] = _inverse_row(gen, graph.num_vertices)
+        self._edge_memo: dict[tuple[Word, ColorEdge], tuple[int, Word]] = {}
         self._color_edges = tuple((color, e.id) for color in range(graph.k)
                                   for e in graph.edges[color])
         self._canon_memo: dict[Word, Word] = {}
@@ -118,60 +106,35 @@ class ActionSystem:
                 out.append(letter)
         return tuple(out)
 
-    def _inv_raw(self, a: Word) -> Word:
-        return tuple(-letter for letter in reversed(a))
-
-    def _letter_act(self, letter: int, ce: ColorEdge) -> int:
-        gen = self.generators[abs(letter) - 1]
-        if letter > 0:
-            return gen.act[ce]
-        inv = self._inv_act[abs(letter) - 1]
-        if inv is None:
+    def _row(self, letter: int) -> tuple:
+        row = self._rows[letter]
+        if row is None:
+            name = self.generators[-letter - 1].name
             raise PreconditionViolated(
-                f"generator {gen.name!r} is not invertible on edges")
-        return inv[ce]
+                f"generator {name!r} is not invertible on edges")
+        return row
 
-    def _letter_restrict(self, letter: int, ce: ColorEdge) -> Word:
-        gen = self.generators[abs(letter) - 1]
-        if letter > 0:
-            return gen.restrict[ce]
-        pre = self._letter_act(letter, ce)
-        return self._inv_raw(gen.restrict[(ce[0], pre)])
-
-    def _act_edge_raw(self, key: Word, ce: ColorEdge) -> int:
-        memo_key = (key, ce)
-        hit = self._act_memo.get(memo_key)
-        if hit is not None:
-            return hit
-        eid = ce[1]
-        for letter in reversed(key):
-            eid = self._letter_act(letter, (ce[0], eid))
-        self._act_memo[memo_key] = eid
-        return eid
-
-    def _restrict_edge_raw(self, key: Word, ce: ColorEdge) -> Word:
-        memo_key = (key, ce)
-        hit = self._res_memo.get(memo_key)
-        if hit is not None:
-            return hit
-        eid = ce[1]
-        out: Word = ()
-        for letter in reversed(key):
-            out = self._reduce(self._letter_restrict(letter, (ce[0], eid)) + out)
-            eid = self._letter_act(letter, (ce[0], eid))
-        if len(out) > self.caps.max_word_length:
-            raise ClosureExceeded(
-                f"restriction word exceeds cap max_word_length="
-                f"{self.caps.max_word_length} (reached {len(out)} letters)")
-        self._res_memo[memo_key] = out
-        return out
+    def _edge_raw(self, key: Word, ce: ColorEdge) -> tuple[int, Word]:
+        """(key.e, key|e) for e = ``ce``: image id and reduced restriction."""
+        hit = self._edge_memo.get((key, ce))
+        if hit is None:
+            color, eid = ce
+            word: Word = ()
+            for letter in reversed(key):
+                _, act, restrict = self._row(letter)
+                word = restrict[(color, eid)] + word
+                eid = act[(color, eid)]
+            out = self._reduce(word)
+            if len(out) > self.caps.max_word_length:
+                raise ClosureExceeded(
+                    f"restriction word exceeds cap max_word_length="
+                    f"{self.caps.max_word_length} (reached {len(out)} letters)")
+            hit = self._edge_memo[(key, ce)] = (eid, out)
+        return hit
 
     def _act_vertex_raw(self, key: Word, v: int) -> int:
         for letter in reversed(key):
-            if letter > 0:
-                v = self.generators[letter - 1].vertex_map[v]
-            else:
-                v = self._inv_vertex[-letter - 1][v]
+            v = self._row(letter)[0][v]
         return v
 
     def key_str(self, key: Word) -> str:
@@ -202,13 +165,10 @@ class ActionSystem:
         """
         states, index, labels, succ = [word], {word: 0}, [], []
         for w in states:  # breadth-first: ``states`` grows while walked
-            labels.append((
-                tuple(self._act_vertex_raw(w, v)
-                      for v in range(self.graph.num_vertices)),
-                tuple(self._act_edge_raw(w, ce) for ce in self._color_edges)))
-            row = []
+            images, row = [], []
             for ce in self._color_edges:
-                res = self._restrict_edge_raw(w, ce)
+                image, res = self._edge_raw(w, ce)
+                images.append(image)
                 if res not in index:
                     if len(states) >= self.caps.max_pair_states:
                         raise ClosureExceeded(
@@ -219,6 +179,9 @@ class ActionSystem:
                     index[res] = len(states)
                     states.append(res)
                 row.append(index[res])
+            labels.append((tuple(self._act_vertex_raw(w, v) for v in
+                                 range(self.graph.num_vertices)),
+                           tuple(images)))
             succ.append(row)
         block = _number(labels)
         while True:
@@ -257,32 +220,32 @@ class ActionSystem:
         return GroupElement(self._canonical_key(g.key + h.key))
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        return GroupElement(self._canonical_key(self._inv_raw(g.key)))
+        word = tuple(-letter for letter in reversed(g.key))
+        return GroupElement(self._canonical_key(word))
 
     def act_vertex(self, g: GroupElement, v: int) -> int:
         return self._act_vertex_raw(g.key, v)
 
     def act_edge(self, g: GroupElement, e: Edge) -> Edge:
-        return self.graph.edge(e.color, self._act_edge_raw(g.key, (e.color, e.id)))
+        image = self._edge_raw(g.key, (e.color, e.id))[0]
+        return self.graph.edge(e.color, image)
 
     def restrict_edge(self, g: GroupElement, e: Edge) -> GroupElement:
-        raw = self._restrict_edge_raw(g.key, (e.color, e.id))
+        raw = self._edge_raw(g.key, (e.color, e.id))[1]
         return GroupElement(self._canonical_key(raw))
 
     def act_path(self, g: GroupElement, mu: Path) -> Path:
-        key = g.key
-        out = []
+        key, out = g.key, []
         for e in mu.edges:
-            out.append(self.graph.edge(e.color,
-                                       self._act_edge_raw(key, (e.color, e.id))))
-            key = self._restrict_edge_raw(key, (e.color, e.id))
+            image, key = self._edge_raw(key, (e.color, e.id))
+            out.append(self.graph.edge(e.color, image))
         return Path(self._act_vertex_raw(g.key, mu.range_vertex),
                     tuple(out), mu.degree)
 
     def restrict_path(self, g: GroupElement, mu: Path) -> GroupElement:
         key = g.key
         for e in mu.edges:
-            key = self._restrict_edge_raw(key, (e.color, e.id))
+            key = self._edge_raw(key, (e.color, e.id))[1]
         return GroupElement(self._canonical_key(key))
 
     def describe(self, g: GroupElement) -> str:
@@ -314,8 +277,7 @@ class ActionSystem:
         for key in keys:  # breadth-first: ``keys`` grows while walked
             row = rows[key]
             for ce in self._color_edges:
-                row[ce] = visit(self._canonical_key(
-                    self._restrict_edge_raw(key, ce)))
+                row[ce] = visit(self._canonical_key(self._edge_raw(key, ce)[1]))
         return rows
 
     def restriction_closure(self, seeds: Sequence[GroupElement]
@@ -397,6 +359,20 @@ class ActionSystem:
         return out
 
 
+def _inverse_row(gen: GeneratorTable, num_vertices: int) -> tuple | None:
+    """The row of ``gen``'s inverse letter, or None when ``gen`` does
+    not permute the vertices or is not injective on edges: g^-1.e is
+    the e' with g.e' = e, and g^-1|e = (g|e')^-1."""
+    act = {(color, img): eid for (color, eid), img in gen.act.items()}
+    if len(act) < len(gen.act) \
+            or sorted(gen.vertex_map) != list(range(num_vertices)):
+        return None
+    vertex_map = tuple(map(gen.vertex_map.index, range(num_vertices)))
+    restrict = {(ce[0], img): tuple(-x for x in reversed(gen.restrict[ce]))
+                for ce, img in gen.act.items() if ce in gen.restrict}
+    return vertex_map, act, restrict
+
+
 def _number(keys) -> list[int]:
     """Number the distinct keys in order of first appearance."""
     ids: dict = {}
@@ -432,13 +408,11 @@ def restriction_graph(sys: ActionSystem):
     range v, by color and then id; ``fixed`` says whether g fixes e.
     Raises ClosureExceeded when the closure exceeds its cap."""
     graph = sys.graph
-    seeds = [sys.identity] + [sys.generator_element(g.name)
-                              for g in sys.generators]
-    return {(key, v): [(e, sys._act_edge_raw(key, (color, e.id)) == e.id,
-                        (row[(color, e.id)], e.source))
-                       for color in range(graph.k)
-                       for e in graph.edges_from(v, color)]
-            for key, row in sys._automaton(seeds).items()
+    return {(g.key, v): [(e, sys.act_edge(g, e) == e,
+                          (sys.restrict_edge(g, e).key, e.source))
+                         for color in range(graph.k)
+                         for e in graph.edges_from(v, color)]
+            for g in sys.generator_closure()
             for v in range(graph.num_vertices)}
 
 
@@ -548,11 +522,14 @@ def validate_action(sys: ActionSystem) -> ValidationReport:
                         or img.source != gen.vertex_map[e.source]:
                     rep.add(f"{label}: image of edge ({color},{e.id}) "
                             "moves endpoints inconsistently")
-                word = gen.restrict.get((color, e.id), ())
+                word = gen.restrict.get((color, e.id))
+                at = f"{label}: restriction word at ({color},{e.id})"
+                if word is None:
+                    rep.add(f"{at} is missing")
+                    continue
                 for letter in word:
                     if letter == 0 or abs(letter) > len(sys.generators):
-                        rep.add(f"{label}: restriction word at ({color},{e.id}) "
-                                f"uses bad index {letter}")
+                        rep.add(f"{at} uses bad index {letter}")
     if rep.problems:
         return rep
 

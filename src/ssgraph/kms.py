@@ -31,19 +31,16 @@ from .perron import (PerronData, check_g_invariance, pf_state_value,
 
 @dataclass(frozen=True)
 class TraceSpec:
-    """A tracial state of the lattice group's C*-algebra.
+    """A tracial state of the lattice group's C*-algebra: Haar when
+    ``weights`` is None, otherwise a convex mixture of characters, each
+    weight paired with one torus coordinate per lattice basis vector.
+    A character is a one-point mixture."""
 
-    ``theta`` lists one torus coordinate per lattice basis vector;
-    ``weights`` pairs mixture weights with such coordinate tuples.
-    """
-
-    kind: str
-    theta: tuple[float, ...] | None = None
     weights: tuple[tuple[float, tuple[float, ...]], ...] | None = None
 
 
 def haar_trace() -> TraceSpec:
-    return TraceSpec("haar")
+    return TraceSpec()
 
 
 def _finite(values) -> tuple[float, ...]:
@@ -55,7 +52,7 @@ def _finite(values) -> tuple[float, ...]:
 
 
 def character_trace(theta) -> TraceSpec:
-    return TraceSpec("character", theta=_finite(theta))
+    return mixture_trace([(1.0, theta)])
 
 
 def mixture_trace(weights) -> TraceSpec:
@@ -63,7 +60,7 @@ def mixture_trace(weights) -> TraceSpec:
     total = sum(_finite(w for w, _ in rows))
     if any(w < 0 for w, _ in rows) or abs(total - 1.0) > 1e-9:
         raise ValueError("mixture weights must be a convex combination")
-    return TraceSpec("mixture", weights=rows)
+    return TraceSpec(rows)
 
 
 def trace_value(trace: TraceSpec, lattice: PeriodicityLattice, z) -> complex:
@@ -73,11 +70,8 @@ def trace_value(trace: TraceSpec, lattice: PeriodicityLattice, z) -> complex:
     if coords is None:
         raise NotInLattice(
             f"degree difference {tuple(z)} is outside the computed lattice")
-    if trace.kind == "haar":
+    if trace.weights is None:
         return 1.0 + 0j if not any(coords) else 0j
-    if trace.kind == "character":
-        phase = sum(t * c for t, c in zip(trace.theta, coords))
-        return cmath.exp(2j * cmath.pi * phase)
     acc = 0j
     for weight, theta in trace.weights:
         phase = sum(t * c for t, c in zip(theta, coords))
@@ -100,16 +94,12 @@ class KmsState:
     exists: bool
 
     def __post_init__(self):
-        trace, lattice = self.trace, self.lattice
-        if lattice is None:
+        if self.lattice is None:
             return
-        if trace.kind == "character" and len(trace.theta) != lattice.rank:
-            raise ValueError(f"character needs {lattice.rank} coordinates, "
-                             f"got {len(trace.theta)}")
-        if trace.kind == "mixture" and any(
-                len(theta) != lattice.rank for _, theta in trace.weights):
-            raise ValueError(
-                f"mixture characters need {lattice.rank} coordinates")
+        for _, theta in self.trace.weights or ():
+            if len(theta) != self.lattice.rank:
+                raise ValueError(f"character needs {self.lattice.rank} "
+                                 f"coordinates, got {len(theta)}")
 
     @property
     def rank(self) -> int | None:

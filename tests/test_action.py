@@ -92,9 +92,50 @@ def test_doubling_word_is_not_identity_on_binary_machine():
     assert not system.equal(two, system.identity)
 
 
+def _letter_on_edge(system, letter, ce):
+    """Image id and restriction word of one signed letter on ``ce``,
+    read from the generator's table: g^-1.e is the e' with g.e' = e,
+    and g^-1|e = (g|e')^-1."""
+    gen = system.generators[abs(letter) - 1]
+    if letter > 0:
+        return gen.act[ce], gen.restrict[ce]
+    (pre,) = [c for c, image in gen.act.items() if (c[0], image) == ce]
+    return pre[1], tuple(-x for x in reversed(gen.restrict[pre]))
+
+
+def _free_reduce(word):
+    out = []
+    for letter in word:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def _walk(system, word, ce):
+    """Image id and reduced restriction of a raw word on ``ce``: the
+    word acts letter by letter, rightmost first, and its restriction is
+    the product of the letters' restrictions along the way."""
+    color, eid = ce
+    pieces = []
+    for letter in reversed(word):
+        eid, res = _letter_on_edge(system, letter, (color, eid))
+        pieces.append(res)
+    return eid, _free_reduce(x for res in reversed(pieces) for x in res)
+
+
+def _vertex_image(system, word, v):
+    for letter in reversed(word):
+        vertex_map = system.generators[abs(letter) - 1].vertex_map
+        v = vertex_map[v] if letter > 0 else vertex_map.index(v)
+    return v
+
+
 def bisimilar(system, a, b):
-    """Reference equality: a breadth-first search over pairs of raw
-    words for a pair whose vertex or edge actions differ."""
+    """Reference equality from the generator tables alone: a
+    breadth-first search over pairs of raw words for a pair whose
+    vertex or edge actions differ."""
     graph = system.graph
     edges = [(color, e.id) for color in range(graph.k)
              for e in graph.edges[color]]
@@ -106,14 +147,15 @@ def bisimilar(system, a, b):
         if pa == pb or pair in seen:
             continue
         seen.add(pair)
-        if any(system._act_vertex_raw(pa, v) != system._act_vertex_raw(pb, v)
+        if any(_vertex_image(system, pa, v) != _vertex_image(system, pb, v)
                for v in range(graph.num_vertices)):
             return False
         for ce in edges:
-            if system._act_edge_raw(pa, ce) != system._act_edge_raw(pb, ce):
+            (image_a, res_a), (image_b, res_b) = \
+                _walk(system, pa, ce), _walk(system, pb, ce)
+            if image_a != image_b:
                 return False
-            queue.append((system._restrict_edge_raw(pa, ce),
-                          system._restrict_edge_raw(pb, ce)))
+            queue.append((res_a, res_b))
     return True
 
 
@@ -476,6 +518,46 @@ def test_validate_rejects_non_bijection():
              "generator 'p': color 0 edge action is incomplete")):
         assert validate_action(ActionSystem(graph, (table,))).problems \
             == [problem]
+
+
+def test_validate_reports_missing_restriction_word():
+    from tests.conftest import make_loops_graph
+    gap = GeneratorTable("s", (0,), {(0, 0): 1, (0, 1): 0}, {(0, 0): ()})
+    report = validate_action(ActionSystem(make_loops_graph(2), (gap,)))
+    assert report.problems == [
+        "generator 's': restriction word at (0,1) is missing"]
+
+
+def test_inverse_letter_needs_an_invertible_table():
+    # an inverse row exists only for a vertex permutation that is
+    # injective on edges; otherwise the inverse letter is refused
+    from tests.conftest import make_fibonacci_graph, make_loops_graph
+    fold = GeneratorTable("f", (0, 0), {(0, e): e for e in range(3)},
+                          {(0, e): () for e in range(3)})
+    collapse = GeneratorTable("c", (0,), {(0, 0): 0, (0, 1): 0},
+                              {(0, 0): (), (0, 1): ()})
+    for graph, table in ((make_fibonacci_graph(), fold),
+                         (make_loops_graph(2), collapse)):
+        system = ActionSystem(graph, (table,))
+        with pytest.raises(PreconditionViolated) as err:
+            system.element_from_word((-1,))
+        assert str(err.value) == \
+            f"generator {table.name!r} is not invertible on edges"
+
+
+def test_inverse_letter_rotates_vertices_back():
+    # on a 3-cycle a rotation is not an involution, so an inverse row
+    # that reused the forward vertex map would show
+    cycle = KGraph(1, 3, [[Edge(i, 0, (i + 1) % 3, i) for i in range(3)]],
+                   {})
+    rotate = GeneratorTable("r", (1, 2, 0),
+                            {(0, i): (i + 1) % 3 for i in range(3)},
+                            {(0, i): () for i in range(3)})
+    system = ActionSystem(cycle, (rotate,))
+    assert validate_action(system).ok
+    back = system.element_from_word((-1,))
+    assert [system.act_vertex(back, v) for v in range(3)] == [2, 0, 1]
+    assert back == system.element_from_word((1, 1))
 
 
 def test_validate_rejects_swapped_vertices(swap_system):

@@ -101,8 +101,12 @@ def test_state_vanishes_on_swap_declaration(swap_system):
 
 
 def test_character_length_must_match_rank(odo22):
-    with pytest.raises(ValueError):
-        make_kms_state(odo22, trace=character_trace([0.1, 0.2]))
+    # a character is a one-point mixture, so both forms share one check
+    for trace in (character_trace([0.1, 0.2]),
+                  mixture_trace([(0.5, [0.1]), (0.5, [0.1, 0.2])])):
+        with pytest.raises(ValueError) as err:
+            make_kms_state(odo22, trace=trace)
+        assert str(err.value) == "character needs 1 coordinates, got 2"
 
 
 def test_vertex_projection_values(odo23, kat21):
