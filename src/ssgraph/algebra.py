@@ -20,6 +20,7 @@ from .kgraph import Path, join_degrees, zero_degree
 from .periodicity import cycline_triples, is_cycline
 
 COEFF_TOL = 1e-12
+SOURCE_CONDITION = "source of mu must be the g-image of the source of nu"
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,8 +99,7 @@ class AlgebraElement:
 
 def _checked_monomial(system, mu: Path, g, nu: Path) -> Monomial:
     if system.act_vertex(g, nu.source) != mu.source:
-        raise PreconditionViolated(
-            "source of mu must be the g-image of the source of nu")
+        raise PreconditionViolated(SOURCE_CONDITION)
     return Monomial(mu, g, nu)
 
 
@@ -232,8 +232,7 @@ def _product_middle(system, g, extensions, h):
         mid = system.multiply(system.restrict_path(g, lam),
                               system.restrict_path(h, pulled))
         if system.act_vertex(mid, pulled.source) != head.source:
-            raise PreconditionViolated(
-                "source of mu must be the g-image of the source of nu")
+            raise PreconditionViolated(SOURCE_CONDITION)
         out.append((head, mid, pulled))
     return out
 

@@ -20,9 +20,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import algebra
-from .errors import ClosureExceeded, NotInLattice, SimplexEmpty
+from .errors import (ClosureExceeded, NotInLattice, PreconditionViolated,
+                     SimplexEmpty)
 from .intlattice import lattice_coordinates, lattice_residue
-from .kgraph import sub_degrees, unit_degree
+from .kgraph import add_degrees, sub_degrees, unit_degree
 from .periodicity import (CyclineState, PeriodicityLattice, cycline_search,
                           is_cycline, periodicity_group)
 from .perron import (PerronData, check_g_invariance, pf_state_value,
@@ -155,11 +156,6 @@ def evaluate(state: KmsState, a: "algebra.AlgebraElement") -> complex:
 def _evaluate_monomial(state: KmsState, key) -> complex:
     if not is_cycline(state.system, key.mu, key.g, key.nu).verdict:
         return 0j
-    return _cycline_value(state, key)
-
-
-def _cycline_value(state: KmsState, key) -> complex:
-    """The state's value on a monomial key known to be cycline."""
     z = sub_degrees(key.mu.degree, key.nu.degree)
     weight = pf_state_value(state.data, key.mu)
     return weight * trace_value(state.trace, state.lattice, z)
@@ -199,141 +195,167 @@ class _MonomialBlock(Sequence):
     """The monomial keys (mu, g, nu) with g in ``elements`` and both
     degrees at most ``bound``, ordered by g, then nu, then mu.
 
-    An indexable view: it stores the paths and one running count per
-    (g, nu), and builds a monomial only when it is indexed, so
-    ``random.choice`` draws from it in memory O(elements x paths)."""
+    An indexable view of ``paths``, those of degree at most ``bound``:
+    per (g, nu) it keeps the indices of g and nu, g.s(nu), the indices
+    of the mu with that source and the count before it.  ``ids(i)``
+    indexes lists, and ``block[i]`` builds a monomial, so
+    ``random.choice`` draws in memory O(elements x paths)."""
 
     def __init__(self, system, bound, elements):
         graph = system.graph
-        paths = [p for d in itertools.product(*(range(b + 1) for b in bound))
-                 for p in graph.paths_of_degree(d)]
+        self.paths = [p for d in itertools.product(
+            *(range(b + 1) for b in bound)) for p in graph.paths_of_degree(d)]
+        self._sources = [p.source for p in self.paths]
         by_source = [[] for _ in range(graph.num_vertices)]
-        for p in paths:
-            by_source[p.source].append(p)
-        self._system = system
-        self._legs = []     # (g, nu, the mu with s(mu) = g.s(nu))
+        for i, v in enumerate(self._sources):
+            by_source[v].append(i)
+        self._system, self._elements = system, elements
+        self._legs = []     # (g, nu, g.s(nu), its mu, monomials before)
         self._ends = []     # monomials up to and including each (g, nu)
-        total = 0
-        for g in elements:
-            for nu in paths:
-                mus = by_source[system.act_vertex(g, nu.source)]
-                total += len(mus)
-                self._legs.append((g, nu, mus))
-                self._ends.append(total)
+        self._size = 0
+        for g, element in enumerate(elements):
+            for q, nu in enumerate(self.paths):
+                image = system.act_vertex(element, nu.source)
+                self._legs.append((g, q, image, by_source[image], self._size))
+                self._size += len(by_source[image])
+                self._ends.append(self._size)
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return self._size
 
-    def __getitem__(self, i: int):
-        if not 0 <= i < len(self):
+    def ids(self, i: int) -> tuple:
+        """Monomial i's (mu, g, nu) as indices of ``paths`` and of the
+        elements, after ``_checked_monomial``'s source test."""
+        if not 0 <= i < self._size:
             raise IndexError(i)
         j = bisect.bisect_right(self._ends, i)
-        g, nu, mus = self._legs[j]
-        mu = mus[i - self._ends[j] + len(mus)]
-        return algebra._checked_monomial(self._system, mu, g, nu)
+        g, q, image, mus, start = self._legs[j]
+        p = mus[i - start]
+        if self._sources[p] != image:
+            raise PreconditionViolated(algebra.SOURCE_CONDITION)
+        return p, g, q
+
+    def __getitem__(self, i: int):
+        p, g, q = self.ids(i)
+        return algebra._checked_monomial(self._system, self.paths[p],
+                                         self._elements[g], self.paths[q])
 
 
 class _Products:
     """The monomial products of one ``verify_kms`` call, memoised in
     tables that are dropped with the call.
 
-    ``handle(m)`` is (mu id, (g, nu) id, (mu, g) id, nu id, m, m's
-    gauge factor, the class of z = d(mu) - d(nu), the class of -z).  A
-    class is z's residue modulo Per's Hermite basis when the lattice is
-    exact, and () on any other lattice, where no pair is refuted by
-    class.  Paths, (g, nu), (mu, g) and product terms are
-    interned apart from the memos keyed on them (named tuples equal
-    plain tuples); every path, (g, nu) and (mu, g) id is below
-    ``span``, one per (g, nu) of the (2,...,2) block ``big``, so a memo
-    key packs its ids into one int.  Two paths meet when they agree at
-    the meet of their degrees, one verdict per unordered pair of ids.
-    A product's middle (its terms without the outer legs) is built
-    once per distinct (g, nu) and (mu', h), from one ``lambda_min`` per
-    pair of x's nu and y's mu ids, and only when that list is nonempty;
-    each distinct (mu, term, nu') cell is composed and evaluated once,
-    its source condition checked only by the middle, on its term.  Cycline
-    verdicts come from one ``split_front`` per (path, meet degree) and
-    one fixpoint search per reduced state, all over one ``shift_edge``
-    memo, and gauge factors and classes from one ``_gauge_factor`` and
-    two residues per degree pair."""
+    A path's id is its index in ``big.paths``; (g, nu) and (mu, g) have
+    the id (g's index in the closure) x (the path count) + the path's,
+    below ``span``, so a memo key packs its ids into one int.
+    ``handle(m)`` is (mu id, (g, nu) id, (mu, g) id, nu id, m's gauge
+    factor, the classes of z = d(mu) - d(nu) and of -z), and ``draw(i)``
+    is big's monomial i as its mu id, nu id and classes.  A class is z's
+    residue modulo Per's Hermite basis on an exact lattice and () on any
+    other, where no pair is refuted by class.  ``meet(p, q)`` is the id
+    of paths p and q's ``meet_tails``, -1 where their heads differ.
+    Unique factorisation cancels matched heads, so a middle (a product's
+    terms without the outer legs) is built once per (tails of x's nu and
+    y's mu, g, h), from one ``lambda_min`` of the tails and only when
+    that list is nonempty, and a term's cycline verdict is found once
+    per (term, tails of x's mu and y's nu).  The cell, the term with x's
+    mu and y's nu composed on, is then worth x(s(head)) / rho**(d(mu) +
+    d(head)) tau(z).  Only the middle checks a term's source condition.
+    Cycline verdicts come from one ``split_front`` per (path, meet
+    degree) and one fixpoint search per reduced state over one
+    ``shift_edge`` memo, and gauge factors and classes from one
+    ``_gauge_factor`` and two residues per degree pair."""
 
     def __init__(self, state: KmsState, big: _MonomialBlock):
         system = state.system
         self.state, self.system, self.graph = state, system, system.graph
+        self.big, self.paths, self.elements = big, big.paths, big._elements
+        self.ids = {p: i for i, p in enumerate(self.paths)}
+        self._element_ids = {g: i for i, g in enumerate(self.elements)}
         self.span = len(big._legs)
-        self.paths: dict = {}
-        self._gnus: dict = {}
-        self._mugs: dict = {}
-        self._terms: dict = {}
-        self._term_list = []
-        (self._met, self._extensions, self._middles, self._lefts,
-         self._rights, self._cells, self._values, self._graded) = (
-            {}, {}, {}, {}, {}, {}, {}, {})
-        self._class = (functools.partial(lattice_residue, state.lattice.basis)
-                       if state.lattice.exact else lambda z: ())
+        (self._terms, self._term_list, self._tails, self._tail_list,
+         self._met, self._extensions, self._middles, self._cells,
+         self._tail_middles, self._verdicts, self._gauges) = (
+            {}, [], {}, [], {}, {}, {}, {}, {}, {}, {})
+        residue = (functools.partial(lattice_residue, state.lattice.basis)
+                   if state.lattice.exact else lambda z: ())
+        self._classes = functools.cache(lambda d: (
+            residue(sub_degrees(*d)), residue(sub_degrees(*d[::-1]))))
         self._split = functools.cache(self.graph.split_front)
         shift = functools.cache(self.graph.shift_edge)
         self._verdict = functools.cache(
             lambda s: cycline_search(system, s, shift).verdict)
 
-    def handle(self, m) -> tuple:
-        paths = self.paths
-        degrees = m.mu.degree, m.nu.degree
-        graded = self._graded.get(degrees)
-        if graded is None:
-            graded = self._graded[degrees] = (
-                complex(_gauge_factor(self.state, m)),
-                self._class(sub_degrees(*degrees)),
-                self._class(sub_degrees(*degrees[::-1])))
-        return (paths.setdefault(m.mu, len(paths)),
-                self._gnus.setdefault((m.g, m.nu), len(self._gnus)),
-                self._mugs.setdefault((m.mu, m.g), len(self._mugs)),
-                paths.setdefault(m.nu, len(paths)), m, *graded)
+    def classes(self, p: int, q: int) -> tuple:
+        return self._classes((self.paths[p].degree, self.paths[q].degree))
 
-    def meets(self, p: int, mu, q: int, nu) -> bool:
-        """Whether paths mu and nu, of ids p and q, meet."""
-        pair = p * self.span + q if p < q else q * self.span + p
-        hit = self._met.get(pair)
+    def draw(self, i: int) -> tuple:
+        p, _, q = self.big.ids(i)
+        return p, q, *self.classes(p, q)
+
+    def handle(self, m) -> tuple:
+        p, q = self.ids[m.mu], self.ids[m.nu]
+        g = self._element_ids[m.g] * len(self.paths)
+        degrees = m.mu.degree, m.nu.degree
+        gauge = self._gauges.get(degrees) or self._gauges.setdefault(
+            degrees, complex(_gauge_factor(self.state, m)))
+        return (p, g + q, g + p, q, gauge, *self.classes(p, q))
+
+    def meet(self, p: int, q: int) -> int:
+        key = p * self.span + q
+        hit = self._met.get(key)
         if hit is None:
-            hit = self._met[pair] = \
-                self.graph.meet_tails(mu, nu, self._split) is not None
+            tails = self.graph.meet_tails(self.paths[p], self.paths[q],
+                                          self._split)
+            hit = self._met[key] = -1 if tails is None else _intern(
+                self._tails, self._tail_list, tails)
         return hit
 
     def _middle(self, x: tuple, y: tuple) -> tuple:
-        legs = x[3] * self.span + y[0]
-        ext = self._extensions.get(legs)
-        if ext is None:
-            ext = self._extensions[legs] = self.graph.lambda_min(
-                x[4].nu, y[4].mu, self._split)
-        return tuple(map(self._term_id, algebra._product_middle(
-            self.system, x[4].g, ext, y[4].g) if ext else ()))
-
-    def _term_id(self, term) -> int:
-        t = self._terms.setdefault(term, len(self._terms))
-        if t == len(self._term_list):
-            self._term_list.append(term)
-        return t
+        # x's nu and y's mu meet on every computed pair
+        n, tails = len(self.paths), self.meet(x[3], y[0])
+        key = tails, x[1] // n, y[2] // n
+        middle = self._tail_middles.get(key)
+        if middle is None:
+            ext = self._extensions.get(tails)
+            if ext is None:
+                ext = self._extensions[tails] = self.graph.lambda_min(
+                    *self._tail_list[tails], self._split)
+            middle = self._tail_middles[key] = tuple(
+                _intern(self._terms, self._term_list, term)
+                for term in (algebra._product_middle(
+                    self.system, self.elements[key[1]], ext,
+                    self.elements[key[2]]) if ext else ()))
+        return middle
 
     def _cell(self, t: int, x: tuple, y: tuple) -> complex:
-        # the value of term t of xy, with x's mu and y's nu composed on
+        # _evaluate_monomial of term t of xy, x's mu and y's nu composed on
         head, g, pulled = self._term_list[t]
-        span, compose = self.span, self.graph.compose
-        left = self._lefts.get(t * span + x[0])
-        if left is None:
-            left = self._lefts[t * span + x[0]] = compose(x[4].mu, head)
-        right = self._rights.get(t * span + y[3])
-        if right is None:
-            right = self._rights[t * span + y[3]] = compose(y[4].nu, pulled)
-        key = algebra.Monomial(left, g, right)
-        value = self._values.get(key)
-        if value is None:
-            # _evaluate_monomial; _product_middle made its source check
-            tails = self.graph.meet_tails(left, right, self._split)
-            value = self._values[key] = (
-                0j if tails is None or not self._verdict(
-                    CyclineState(tails[0], g, tails[1]))
-                else _cycline_value(self.state, key))
-        return value
+        tails = self.meet(x[0], y[3])
+        verdict = self._verdicts.get((t, tails))
+        if verdict is None:
+            alpha, beta = self._tail_list[tails]
+            compose = self.graph.compose
+            inner = self.graph.meet_tails(compose(alpha, head),
+                                          compose(beta, pulled), self._split)
+            verdict = self._verdicts[t, tails] = inner is not None and \
+                self._verdict(CyclineState(inner[0], g, inner[1]))
+        if not verdict:
+            return 0j
+        mu = add_degrees(self.paths[x[0]].degree, head.degree)
+        z = sub_degrees(mu, add_degrees(self.paths[y[3]].degree,
+                                        pulled.degree))
+        data = self.state.data
+        return data.x[head.source] / data.rho_power(mu) * trace_value(
+            self.state.trace, self.state.lattice, z)
+
+
+def _intern(ids: dict, items: list, item) -> int:
+    """The id of ``item``: its index in ``items``, appended when new."""
+    i = ids.setdefault(item, len(items))
+    if i == len(items):
+        items.append(item)
+    return i
 
 
 def _draws(rng: random.Random, n: int):
@@ -363,7 +385,9 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     cycline term outside the lattice raises NotInLattice.  Live block
     pairs run in the order of the full (i, j >= i) loop, each unordered
     pair on its two products xy and yx.  ``_draws`` draws each sample's
-    indices as ``rng.choice(big)`` would.  Every check equals
+    indices as ``rng.choice(big)`` would; a sample is refuted by its
+    indices' path ids and classes, and its monomials are built only
+    when its products are computed.  Every check equals
     ``evaluate(multiply(x, y))`` against
     ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly, so the
     report is that of that loop, and so is any error of a computed
@@ -399,19 +423,21 @@ def verify_kms(state: KmsState, sample_count: int = 500,
             nonzero += 1
 
     handles = [table.handle(x) for x in block]
-    # the block's paths have ids 0, 1, ... in ``table.paths``'s order;
-    # each (mu id, nu id) bucket lists the sorted block indices of the
-    # buckets whose pairs with it are live and whose degree classes
-    # cancel modulo Per, so x's row from its own index on is its j >= i
-    near = [[q for q, nu in enumerate(table.paths)
-             if table.meets(p, mu, q, nu)]
-            for p, mu in enumerate(table.paths)]
-    buckets: dict = {}
+    # (mu id, nu id) buckets of sorted block indices, indexed by class
+    # pair; a bucket's partners are those of the cancelling class pair
+    # whose paths meet its own, so x's row from its index on is its j >= i
+    ids = [table.ids[p] for p in block.paths]
+    near = {p: {q for q in ids if table.meet(p, q) >= 0} for p in ids}
+    classes: dict = {}
     for i, x in enumerate(handles):
-        buckets.setdefault((x[0], x[3], x[6], x[7]), []).append(i)
-    partners = {(a, b): sorted(j for c in near[b] for d in near[a]
-                               for j in buckets.get((c, d, w, z), ()))
-                for a, b, z, w in buckets}
+        classes.setdefault(x[5:], {}).setdefault(x[0], {}).setdefault(
+            x[3], []).append(i)
+    partners = {(a, b): sorted(j for c in near[b].intersection(others)
+                               for d in near[a].intersection(others[c])
+                               for j in others[c][d])
+                for (z, w), group in classes.items()
+                for others in [classes.get((w, z), {})]
+                for a, row in group.items() for b in row}
 
     def pairs():
         # live block pairs in the full (i, j >= i) loop's order, with
@@ -421,14 +447,13 @@ def verify_kms(state: KmsState, sample_count: int = 500,
             for j in row[bisect.bisect_left(row, i):]:
                 yield x, handles[j], j != i
         draws = _draws(random.Random(seed), len(big))
-        drawn: dict = {}
+        drawn = functools.cache(table.draw)
+        built = functools.cache(lambda i: table.handle(big[i]))
         for i, j in itertools.islice(zip(draws, draws), sample_count):
-            x = drawn.get(i) or drawn.setdefault(i, table.handle(big[i]))
-            y = drawn.get(j) or drawn.setdefault(j, table.handle(big[j]))
-            if x[6] == y[7] and table.meets(
-                    x[0], x[4].mu, y[3], y[4].nu) and table.meets(
-                    x[3], x[4].nu, y[0], y[4].mu):
-                yield x, y, False
+            x, y = drawn(i), drawn(j)
+            if x[2] == y[3] and table.meet(x[0], y[1]) >= 0 and table.meet(
+                    x[1], y[0]) >= 0:
+                yield built(i), built(j), False
 
     for x, y, mirrored in pairs():
         sides = []
@@ -448,9 +473,9 @@ def verify_kms(state: KmsState, sample_count: int = 500,
             sides.append(side)
         xy, yx = sides
         if xy or yx:
-            tally(xy, yx, x[5])
+            tally(xy, yx, x[4])
             if mirrored:
-                tally(yx, xy, y[5])
+                tally(yx, xy, y[4])
     return KmsReport(worst < tol, worst, needed, tol, nonzero)
 
 

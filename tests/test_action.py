@@ -162,16 +162,28 @@ def bisimilar(system, a, b):
 @functools.cache
 def word_system(name):
     """One shared word-engine system per table set, so memos carry
-    over between examples as they do within one analysis."""
+    over between examples as they do within one analysis.  "random" is
+    a seeded system of the law test whose restriction words have up to
+    two letters of three generators, so several letters of a word
+    restrict nontrivially along one edge, in an order that matters; it
+    validates, and the examples' words canonicalise, within the law
+    test's caps."""
     if name == "odometer22":
         return build_odometer((2, 2))
+    if name == "random":
+        from tests.conftest import make_loops_graph
+        graph = make_loops_graph(2)
+        system = ActionSystem(graph, _random_tables(graph, random.Random(58)),
+                              LAW_TEST_CAPS)
+        assert validate_action(system).ok
+        return system
     return bench_model(name)
 
 
 @st.composite
 def word_pairs(draw):
     name = draw(st.sampled_from(
-        ["adding_machine", "basilica", "grigorchuk", "odometer22"]))
+        ["adding_machine", "basilica", "grigorchuk", "odometer22", "random"]))
     size = len(word_system(name).generators)
     letter = st.sampled_from([i for i in range(-size, size + 1) if i])
     word = st.lists(letter, max_size=7).map(tuple)
@@ -187,6 +199,13 @@ def test_signature_equality_matches_pairwise_bisimulation(case):
     assert system.equal(g, h) == bisimilar(system, u, v)
     # the representative acts as the word it stands for
     assert bisimilar(system, g.key, u) and bisimilar(system, h.key, v)
+    # and so do its edge images and restrictions: restrictions composed
+    # in the wrong order can leave every equality above as it is
+    for color, row in enumerate(system.graph.edges):
+        for e in row:
+            image, res = _walk(system, u, (color, e.id))
+            assert system.act_edge(g, e).id == image
+            assert bisimilar(system, system.restrict_edge(g, e).key, res)
 
 
 def test_grigorchuk_ball_sizes():
@@ -326,6 +345,10 @@ def _check_laws_on_edges(sys, elements, rep):
                         return
 
 
+LAW_TEST_CAPS = ActionCaps(max_closure=200, max_word_length=16,
+                           max_pair_states=200)
+
+
 def _random_tables(graph, rng):
     """1-3 endpoint-respecting, bijective generator tables whose
     restriction words have at most 2 letters."""
@@ -360,8 +383,7 @@ def test_tables_satisfy_laws_v_and_iii_by_construction():
                                   Edge(2, 0, 1, 0), Edge(3, 0, 0, 1)]], {})
     graphs = [make_loops_graph(2), make_loops_graph(3), two_vertices,
               build_odometer((2, 2)).graph, build_odometer((2, 3)).graph]
-    caps = ActionCaps(max_closure=200, max_word_length=16,
-                      max_pair_states=200)
+    caps = LAW_TEST_CAPS
     rng = random.Random(19)
     checked = law_iii_failures = 0
     for trial in range(200):

@@ -15,7 +15,8 @@ from ssgraph import kms
 from ssgraph.action import ActionCaps
 from ssgraph.cli import emit_model, parse_model
 from ssgraph.errors import ClosureExceeded, NotInLattice, SimplexEmpty
-from ssgraph.kgraph import KGraph
+from ssgraph.intlattice import lattice_coordinates
+from ssgraph.kgraph import KGraph, add_degrees, sub_degrees
 from ssgraph.kms import KmsReport, character_trace, evaluate, gauge_scale, \
     haar_trace, make_kms_state, mixture_trace, restrict_to_diagonal, \
     simplex_summary, trace_value, verify_kms
@@ -468,6 +469,69 @@ def test_rank_three_check_is_pinned():
                         sample_count=100)
     assert (report.ok, repr(report.max_deviation), report.checked,
             report.nonzero) == (True, '0.0', 2125864, 2883)
+
+
+def test_odometer_623_walk_is_pinned(odo623):
+    # the largest walk that the tails memos and the partner lists see:
+    # 14,112 block monomials, 84 block paths
+    report = verify_kms(make_kms_state(odo623), sample_count=100,
+                        max_checks=10 ** 9)
+    assert (report.ok, repr(report.max_deviation), report.checked,
+            report.nonzero) == (True, '0.0', 199148644, 24854)
+
+
+def computed_sample_indices(state, big, samples, seed):
+    """The drawn indices of the sample pairs whose products
+    ``verify_kms`` computes, in the order it first computes them: the
+    pairs whose legs meet and whose degree differences sum into Per."""
+    graph = state.system.graph
+    draws = kms._draws(random.Random(seed), len(big))
+    out = []
+    for i, j in itertools.islice(zip(draws, draws), samples):
+        x, y = big[i], big[j]
+        z = add_degrees(sub_degrees(x.mu.degree, x.nu.degree),
+                        sub_degrees(y.mu.degree, y.nu.degree))
+        if graph.meet_tails(x.mu, y.nu) and graph.meet_tails(x.nu, y.mu) \
+                and lattice_coordinates(state.lattice.basis, z) is not None:
+            out += [i, j]
+    return list(dict.fromkeys(out))
+
+
+def test_products_are_keyed_on_the_tails_at_the_meet(odo22, monkeypatch):
+    # keyed on (g, nu) and (mu, h) ids instead, this call runs 193
+    # middles and 65 lambda_min calls, and building a handle for every
+    # drawn index makes 1,062 monomials
+    state = make_kms_state(odo22)
+    small, big = ([key for m in reference_monomials(odo22, bound)
+                   for key in m.terms] for bound in ((1, 1), (2, 2)))
+    computed = computed_sample_indices(state, big, 500, 7)
+    extensions, middles, built = {}, [], []
+    lambda_min = KGraph.lambda_min
+    product_middle = algebra._product_middle
+    checked_monomial = algebra._checked_monomial
+
+    def found(graph, mu, nu, *args):
+        out = lambda_min(graph, mu, nu, *args)
+        extensions[id(out)] = out, graph.meet_tails(mu, nu)
+        return out
+
+    def middle(system, g, ext, h):
+        middles.append((extensions[id(ext)][1], g, h))
+        return product_middle(system, g, ext, h)
+
+    def monomial_built(system, mu, g, nu):
+        built.append((mu, g, nu))
+        return checked_monomial(system, mu, g, nu)
+
+    monkeypatch.setattr(KGraph, "lambda_min", found)
+    monkeypatch.setattr(algebra, "_product_middle", middle)
+    monkeypatch.setattr(algebra, "_checked_monomial", monomial_built)
+    verify_kms(state, sample_count=500, seed=7)
+    tails = [meet for _, meet in extensions.values()]
+    assert len(tails) == len(set(tails)) == 32
+    assert len(middles) == len(set(middles)) == 88
+    assert built == small + [big[i] for i in computed]
+    assert len(computed) == 18
 
 
 def test_cycline_cap_bounds_verify_kms():
