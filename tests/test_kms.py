@@ -21,7 +21,8 @@ from ssgraph.kms import KmsReport, character_trace, evaluate, gauge_scale, \
     haar_trace, make_kms_state, mixture_trace, restrict_to_diagonal, \
     simplex_summary, trace_value, verify_kms
 from ssgraph.models import build_katsura, build_odometer, odometer_path
-from ssgraph.periodicity import PeriodicityLattice, periodicity_group
+from ssgraph.periodicity import PeriodicityLattice, is_cycline, \
+    periodicity_group
 from ssgraph.perron import pf_state_value, spectral_data
 from tests.conftest import bench_model
 from tests.test_hypotheses import permuted
@@ -480,21 +481,30 @@ def test_odometer_623_walk_is_pinned(odo623):
             report.nonzero) == (True, '0.0', 199148644, 24854)
 
 
+def is_computed(state, x, y):
+    """Whether ``verify_kms`` computes the products of x and y: their
+    legs meet and their degree differences sum into Per."""
+    graph = state.system.graph
+    z = add_degrees(sub_degrees(x.mu.degree, x.nu.degree),
+                    sub_degrees(y.mu.degree, y.nu.degree))
+    return graph.meet_tails(x.mu, y.nu) is not None \
+        and graph.meet_tails(x.nu, y.mu) is not None \
+        and lattice_coordinates(state.lattice.basis, z) is not None
+
+
+def computed_sample_pairs(state, big, samples, seed):
+    """The drawn index pairs whose products ``verify_kms`` computes, in
+    the order it computes them."""
+    draws = kms._draws(random.Random(seed), len(big))
+    return [(i, j) for i, j in itertools.islice(zip(draws, draws), samples)
+            if is_computed(state, big[i], big[j])]
+
+
 def computed_sample_indices(state, big, samples, seed):
     """The drawn indices of the sample pairs whose products
-    ``verify_kms`` computes, in the order it first computes them: the
-    pairs whose legs meet and whose degree differences sum into Per."""
-    graph = state.system.graph
-    draws = kms._draws(random.Random(seed), len(big))
-    out = []
-    for i, j in itertools.islice(zip(draws, draws), samples):
-        x, y = big[i], big[j]
-        z = add_degrees(sub_degrees(x.mu.degree, x.nu.degree),
-                        sub_degrees(y.mu.degree, y.nu.degree))
-        if graph.meet_tails(x.mu, y.nu) and graph.meet_tails(x.nu, y.mu) \
-                and lattice_coordinates(state.lattice.basis, z) is not None:
-            out += [i, j]
-    return list(dict.fromkeys(out))
+    ``verify_kms`` computes, in the order it first computes them."""
+    return list(dict.fromkeys(itertools.chain.from_iterable(
+        computed_sample_pairs(state, big, samples, seed))))
 
 
 def test_products_are_keyed_on_the_tails_at_the_meet(odo22, monkeypatch):
@@ -532,6 +542,40 @@ def test_products_are_keyed_on_the_tails_at_the_meet(odo22, monkeypatch):
     assert len(middles) == len(set(middles)) == 88
     assert built == small + [big[i] for i in computed]
     assert len(computed) == 18
+
+
+def test_each_cycline_cell_is_valued_once(odo22, monkeypatch):
+    # a cell is a middle term with x's mu and y's nu as outer legs;
+    # valuing every term of every computed product calls trace_value
+    # 472 times here
+    state = make_kms_state(odo22, trace=character_trace([0.3]))
+    system, graph = odo22, odo22.graph
+    small, big = ([key for m in reference_monomials(odo22, bound)
+                   for key in m.terms] for bound in ((1, 1), (2, 2)))
+    pairs = [(x, y) for i, x in enumerate(small) for y in small[i:]
+             if is_computed(state, x, y)]
+    pairs += [(big[i], big[j])
+              for i, j in computed_sample_pairs(state, big, 500, 7)]
+    cells = set()
+    for x, y in pairs:
+        for a, b in (x, y), (y, x):
+            ext = graph.lambda_min(a.nu, b.mu)
+            for head, g, pulled in algebra._product_middle(system, a.g,
+                                                           ext, b.g):
+                mu = graph.compose(a.mu, head)
+                nu = graph.compose(b.nu, pulled)
+                if is_cycline(system, mu, g, nu).verdict:
+                    cells.add((head, g, pulled, a.mu, b.nu))
+    calls = []
+    value = kms.trace_value
+
+    def counted(*args):
+        calls.append(1)
+        return value(*args)
+
+    monkeypatch.setattr(kms, "trace_value", counted)
+    verify_kms(state, sample_count=500, seed=7)
+    assert len(calls) == len(cells) == 125
 
 
 def test_cycline_cap_bounds_verify_kms():
