@@ -17,10 +17,9 @@ from typing import NamedTuple
 from .errors import IncompleteTriples, NonComposable, NotPeriodic, \
     ParseError, PreconditionViolated, need_field
 from .kgraph import Path, join_degrees, zero_degree
-from .periodicity import cycline_triples, is_cycline
+from .periodicity import SOURCE_CONDITION, cycline_triples, is_cycline
 
 COEFF_TOL = 1e-12
-SOURCE_CONDITION = "source of mu must be the g-image of the source of nu"
 
 
 @dataclass(frozen=True, slots=True)
@@ -402,7 +401,7 @@ def element_from_json(system, rows, exact: bool = False) -> AlgebraElement:
         except PreconditionViolated as err:
             raise ParseError(f"{where}: {err}") from err
         re, im = need_field(row, "re", object, where), row.get("im", 0.0)
-        if not all(isinstance(x, (int, float)) for x in (re, im)):
+        if not all(type(x) in (int, float) for x in (re, im)):
             raise ParseError(f"{where}: re and im must be numbers")
         entries.append((mu, g, nu, complex(re, im)))
     return element(system, entries, exact)

@@ -117,14 +117,14 @@ def parse_model(data, validate: bool = True):
             eid = need_field(row, "edge", int, "edgeAction")
             image = need_field(row, "image", list, "edgeAction")
             word = need_field(row, "restrictionWord", list, "edgeAction")
-            if len(image) != 2 or not all(isinstance(x, int) for x in image):
+            if len(image) != 2 or not all(type(x) is int for x in image):
                 raise ParseError(f"generator {name}: image must be "
                                  "[color, id]")
             if image[0] != color:
                 raise ValidationError(ValidationReport(
                     [f"generator {name}: color preservation violated on "
                      f"edge {eid} of color {color}"]))
-            if not all(isinstance(x, int) and x != 0 for x in word):
+            if not all(type(x) is int and x != 0 for x in word):
                 raise ParseError(f"generator {name}: restriction word must "
                                  "hold nonzero signed indices")
             if not 1 <= color <= k or not 0 <= eid < len(rows[color - 1]):

@@ -20,8 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import algebra
-from .errors import (ClosureExceeded, NotInLattice, PreconditionViolated,
-                     SimplexEmpty)
+from .errors import ClosureExceeded, NotInLattice, SimplexEmpty
 from .intlattice import lattice_coordinates, lattice_residue
 from .kgraph import add_degrees, sub_degrees, unit_degree
 from .periodicity import (CyclineState, PeriodicityLattice, cycline_search,
@@ -196,8 +195,8 @@ class _MonomialBlock(Sequence):
     degrees at most ``bound``, ordered by g, then nu, then mu.
 
     An indexable view of ``paths``, those of degree at most ``bound``:
-    per (g, nu) it keeps the indices of g and nu, g.s(nu), the indices
-    of the mu with that source and the count before it.  ``ids(i)``
+    per (g, nu) it keeps the indices of g and nu, the indices of the mu
+    whose source is g.s(nu) and the count before it.  ``ids(i)``
     indexes lists, and ``block[i]`` builds a monomial, so
     ``random.choice`` draws in memory O(elements x paths)."""
 
@@ -205,19 +204,18 @@ class _MonomialBlock(Sequence):
         graph = system.graph
         self.paths = [p for d in itertools.product(
             *(range(b + 1) for b in bound)) for p in graph.paths_of_degree(d)]
-        self._sources = [p.source for p in self.paths]
         by_source = [[] for _ in range(graph.num_vertices)]
-        for i, v in enumerate(self._sources):
-            by_source[v].append(i)
+        for i, p in enumerate(self.paths):
+            by_source[p.source].append(i)
         self._system, self._elements = system, elements
-        self._legs = []     # (g, nu, g.s(nu), its mu, monomials before)
+        self._legs = []     # (g, nu, the mu of source g.s(nu), count before)
         self._ends = []     # monomials up to and including each (g, nu)
         self._size = 0
         for g, element in enumerate(elements):
             for q, nu in enumerate(self.paths):
-                image = system.act_vertex(element, nu.source)
-                self._legs.append((g, q, image, by_source[image], self._size))
-                self._size += len(by_source[image])
+                mus = by_source[system.act_vertex(element, nu.source)]
+                self._legs.append((g, q, mus, self._size))
+                self._size += len(mus)
                 self._ends.append(self._size)
 
     def __len__(self) -> int:
@@ -225,137 +223,17 @@ class _MonomialBlock(Sequence):
 
     def ids(self, i: int) -> tuple:
         """Monomial i's (mu, g, nu) as indices of ``paths`` and of the
-        elements, after ``_checked_monomial``'s source test."""
+        elements."""
         if not 0 <= i < self._size:
             raise IndexError(i)
         j = bisect.bisect_right(self._ends, i)
-        g, q, image, mus, start = self._legs[j]
-        p = mus[i - start]
-        if self._sources[p] != image:
-            raise PreconditionViolated(algebra.SOURCE_CONDITION)
-        return p, g, q
+        g, q, mus, start = self._legs[j]
+        return mus[i - start], g, q
 
     def __getitem__(self, i: int):
         p, g, q = self.ids(i)
         return algebra._checked_monomial(self._system, self.paths[p],
                                          self._elements[g], self.paths[q])
-
-
-class _Products:
-    """The monomial products of one ``verify_kms`` call, memoised in
-    tables that are dropped with the call.
-
-    A path's id is its index in ``big.paths``; (g, nu) and (mu, g) have
-    the id (g's index in the closure) x (the path count) + the path's,
-    below ``span``, so a memo key packs its ids into one int.
-    ``handle(m)`` is (mu id, (g, nu) id, (mu, g) id, nu id, m's gauge
-    factor, the classes of z = d(mu) - d(nu) and of -z), and ``draw(i)``
-    is big's monomial i as its mu id, nu id and classes.  A class is z's
-    residue modulo Per's Hermite basis on an exact lattice and () on any
-    other, where no pair is refuted by class.  ``meet(p, q)`` is the id
-    of paths p and q's ``meet_tails``, -1 where their heads differ.
-    Unique factorisation cancels matched heads, so a middle (a product's
-    terms without the outer legs) is built once per (tails of x's nu and
-    y's mu, g, h), from one ``lambda_min`` of the tails and only when
-    that list is nonempty, and a term's cycline verdict is found once
-    per (term, tails of x's mu and y's nu).  The cell, the term with x's
-    mu and y's nu composed on, is then worth x(s(head)) / rho**(d(mu) +
-    d(head)) tau(z).  Only the middle checks a term's source condition.
-    Cycline verdicts come from one ``split_front`` per (path, meet
-    degree) and one fixpoint search per reduced state over one
-    ``shift_edge`` memo, and gauge factors and classes from one
-    ``_gauge_factor`` and two residues per degree pair."""
-
-    def __init__(self, state: KmsState, big: _MonomialBlock):
-        system = state.system
-        self.state, self.system, self.graph = state, system, system.graph
-        self.big, self.paths, self.elements = big, big.paths, big._elements
-        self.ids = {p: i for i, p in enumerate(self.paths)}
-        self._element_ids = {g: i for i, g in enumerate(self.elements)}
-        self.span = len(big._legs)
-        (self._terms, self._term_list, self._tails, self._tail_list,
-         self._met, self._extensions, self._middles, self._cells,
-         self._tail_middles, self._verdicts, self._gauges) = (
-            {}, [], {}, [], {}, {}, {}, {}, {}, {}, {})
-        residue = (functools.partial(lattice_residue, state.lattice.basis)
-                   if state.lattice.exact else lambda z: ())
-        self._classes = functools.cache(lambda d: (
-            residue(sub_degrees(*d)), residue(sub_degrees(*d[::-1]))))
-        self._split = functools.cache(self.graph.split_front)
-        shift = functools.cache(self.graph.shift_edge)
-        self._verdict = functools.cache(
-            lambda s: cycline_search(system, s, shift).verdict)
-
-    def classes(self, p: int, q: int) -> tuple:
-        return self._classes((self.paths[p].degree, self.paths[q].degree))
-
-    def draw(self, i: int) -> tuple:
-        p, _, q = self.big.ids(i)
-        return p, q, *self.classes(p, q)
-
-    def handle(self, m) -> tuple:
-        p, q = self.ids[m.mu], self.ids[m.nu]
-        g = self._element_ids[m.g] * len(self.paths)
-        degrees = m.mu.degree, m.nu.degree
-        gauge = self._gauges.get(degrees) or self._gauges.setdefault(
-            degrees, complex(_gauge_factor(self.state, m)))
-        return (p, g + q, g + p, q, gauge, *self.classes(p, q))
-
-    def meet(self, p: int, q: int) -> int:
-        key = p * self.span + q
-        hit = self._met.get(key)
-        if hit is None:
-            tails = self.graph.meet_tails(self.paths[p], self.paths[q],
-                                          self._split)
-            hit = self._met[key] = -1 if tails is None else _intern(
-                self._tails, self._tail_list, tails)
-        return hit
-
-    def _middle(self, x: tuple, y: tuple) -> tuple:
-        # x's nu and y's mu meet on every computed pair
-        n, tails = len(self.paths), self.meet(x[3], y[0])
-        key = tails, x[1] // n, y[2] // n
-        middle = self._tail_middles.get(key)
-        if middle is None:
-            ext = self._extensions.get(tails)
-            if ext is None:
-                ext = self._extensions[tails] = self.graph.lambda_min(
-                    *self._tail_list[tails], self._split)
-            middle = self._tail_middles[key] = tuple(
-                _intern(self._terms, self._term_list, term)
-                for term in (algebra._product_middle(
-                    self.system, self.elements[key[1]], ext,
-                    self.elements[key[2]]) if ext else ()))
-        return middle
-
-    def _cell(self, t: int, x: tuple, y: tuple) -> complex:
-        # _evaluate_monomial of term t of xy, x's mu and y's nu composed on
-        head, g, pulled = self._term_list[t]
-        tails = self.meet(x[0], y[3])
-        verdict = self._verdicts.get((t, tails))
-        if verdict is None:
-            alpha, beta = self._tail_list[tails]
-            compose = self.graph.compose
-            inner = self.graph.meet_tails(compose(alpha, head),
-                                          compose(beta, pulled), self._split)
-            verdict = self._verdicts[t, tails] = inner is not None and \
-                self._verdict(CyclineState(inner[0], g, inner[1]))
-        if not verdict:
-            return 0j
-        mu = add_degrees(self.paths[x[0]].degree, head.degree)
-        z = sub_degrees(mu, add_degrees(self.paths[y[3]].degree,
-                                        pulled.degree))
-        data = self.state.data
-        return data.x[head.source] / data.rho_power(mu) * trace_value(
-            self.state.trace, self.state.lattice, z)
-
-
-def _intern(ids: dict, items: list, item) -> int:
-    """The id of ``item``: its index in ``items``, appended when new."""
-    i = ids.setdefault(item, len(items))
-    if i == len(items):
-        items.append(item)
-    return i
 
 
 def _draws(rng: random.Random, n: int):
@@ -391,27 +269,118 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     ``evaluate(multiply(x, y))`` against
     ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly, so the
     report is that of that loop, and so is any error of a computed
-    pair.  The products and their memos are a ``_Products`` table that
-    lives for the call."""
+    pair.
+
+    The products are memoised in tables that live for the call.  A
+    path's id is its index in ``big.paths``; (g, nu) and (mu, g) have
+    the id (g's index in the closure) x (the path count) + the path's,
+    below ``span``, so a memo key packs its ids into one int.  A
+    monomial's handle is (mu id, (g, nu) id, (mu, g) id, nu id, its
+    gauge factor, the classes of z = d(mu) - d(nu) and of -z), and a
+    draw is big's monomial i as its mu id, nu id and classes.  A class
+    is z's residue modulo Per's Hermite basis on an exact lattice and
+    () on any other, where no pair is refuted by class.  ``meet(p, q)``
+    is the id of paths p and q's ``meet_tails``, -1 where their heads
+    differ.  Unique factorisation cancels matched heads, so a middle (a
+    product's terms without the outer legs), memoised on ((g, nu) id,
+    (mu, h) id), is built once per (tails of x's nu and y's mu, g, h),
+    from one ``lambda_min`` of the tails and only when that list is
+    nonempty.  A cell, memoised on (term, x's mu id, y's nu id), is the
+    term with x's mu and y's nu composed on; its cycline verdict is
+    found once per (term, tails of x's mu and y's nu), and it is then
+    worth x(s(head)) / rho**(d(mu) + d(head)) tau(z).  Only the middle
+    checks a term's source condition.  Cycline verdicts come from one
+    ``split_front`` per (path, meet degree) and one fixpoint search per
+    reduced state over one ``shift_edge`` memo, and gauge factors and
+    classes from one ``_gauge_factor`` and two residues per degree
+    pair."""
     _require(state)
     if sample_count < 0:
         raise ValueError(
             f"sample count must be at least 0, got {sample_count}")
-    system = state.system
+    system, data = state.system, state.data
+    graph = system.graph
     elements = system.generator_closure()
-    block = _MonomialBlock(system, (1,) * system.graph.k, elements)
+    block = _MonomialBlock(system, (1,) * graph.k, elements)
     needed = len(block) ** 2 + sample_count
     if needed > max_checks:
         raise ClosureExceeded(
             f"KMS check needs {needed} checks ({len(block)}**2 block "
             f"pairs + {sample_count} samples), over the max_checks cap "
             f"of {max_checks}; raise it with --max-checks")
-    big = _MonomialBlock(system, (2,) * system.graph.k, elements)
-    table = _Products(state, big)
-    span, middles, cells = table.span, table._middles, table._cells
+    big = _MonomialBlock(system, (2,) * graph.k, elements)
+    paths = big.paths
+    n = len(paths)
+    span = len(elements) * n
     area = span * span
+    ids = {p: i for i, p in enumerate(paths)}
+    element_ids = {g: i for i, g in enumerate(elements)}
+    middles, cells, gauges = {}, {}, {}
     worst = 0.0
     nonzero = 0
+
+    def interned(items):
+        # an item's id: its index in ``items``, appended when new
+        return functools.cache(
+            lambda item: items.append(item) or len(items) - 1)
+
+    terms, tails = [], []
+    term_id, tails_id = interned(terms), interned(tails)
+    residue = (functools.partial(lattice_residue, state.lattice.basis)
+               if state.lattice.exact else lambda z: ())
+    split = functools.cache(graph.split_front)
+    shift = functools.cache(graph.shift_edge)
+    verdict = functools.cache(
+        lambda s: cycline_search(system, s, shift).verdict)
+    extensions = functools.cache(
+        lambda t: graph.lambda_min(*tails[t], split))
+
+    @functools.cache
+    def degree_classes(d, e):
+        return residue(sub_degrees(d, e)), residue(sub_degrees(e, d))
+
+    def classes(p, q):
+        return degree_classes(paths[p].degree, paths[q].degree)
+
+    @functools.cache
+    def meet(p, q):
+        found = graph.meet_tails(paths[p], paths[q], split)
+        return -1 if found is None else tails_id(found)
+
+    @functools.cache
+    def tail_middle(t, g, h):
+        # term ids of the middle of elements g and h over tails t
+        ext = extensions(t)
+        return tuple(term_id(term) for term in (algebra._product_middle(
+            system, elements[g], ext, elements[h]) if ext else ()))
+
+    @functools.cache
+    def cycline(t, outer):
+        # is_cycline of term t with the tails ``outer`` composed on
+        head, g, pulled = terms[t]
+        alpha, beta = tails[outer]
+        inner = graph.meet_tails(graph.compose(alpha, head),
+                                 graph.compose(beta, pulled), split)
+        return inner is not None and verdict(
+            CyclineState(inner[0], g, inner[1]))
+
+    def cell(t, a, b):
+        # _evaluate_monomial of term t of ab, a's mu and b's nu composed on
+        if not cycline(t, meet(a[0], b[3])):
+            return 0j
+        head, _, pulled = terms[t]
+        mu = add_degrees(paths[a[0]].degree, head.degree)
+        z = sub_degrees(mu, add_degrees(paths[b[3]].degree, pulled.degree))
+        return data.x[head.source] / data.rho_power(mu) * trace_value(
+            state.trace, state.lattice, z)
+
+    def handle(m):
+        p, q = ids[m.mu], ids[m.nu]
+        g = element_ids[m.g] * n
+        degrees = m.mu.degree, m.nu.degree
+        gauge = gauges.get(degrees) or gauges.setdefault(
+            degrees, complex(_gauge_factor(state, m)))
+        return (p, g + q, g + p, q, gauge, *classes(p, q))
 
     def tally(left, right, scale):
         # evaluate's sum, term by term from 0j
@@ -422,21 +391,21 @@ def verify_kms(state: KmsState, sample_count: int = 500,
         if lhs:
             nonzero += 1
 
-    handles = [table.handle(x) for x in block]
+    handles = [handle(x) for x in block]
     # (mu id, nu id) buckets of sorted block indices, indexed by class
     # pair; a bucket's partners are those of the cancelling class pair
     # whose paths meet its own, so x's row from its index on is its j >= i
-    ids = [table.ids[p] for p in block.paths]
-    near = {p: {q for q in ids if table.meet(p, q) >= 0} for p in ids}
-    classes: dict = {}
+    block_ids = [ids[p] for p in block.paths]
+    near = {p: {q for q in block_ids if meet(p, q) >= 0} for p in block_ids}
+    buckets: dict = {}
     for i, x in enumerate(handles):
-        classes.setdefault(x[5:], {}).setdefault(x[0], {}).setdefault(
+        buckets.setdefault(x[5:], {}).setdefault(x[0], {}).setdefault(
             x[3], []).append(i)
     partners = {(a, b): sorted(j for c in near[b].intersection(others)
                                for d in near[a].intersection(others[c])
                                for j in others[c][d])
-                for (z, w), group in classes.items()
-                for others in [classes.get((w, z), {})]
+                for (z, w), group in buckets.items()
+                for others in [buckets.get((w, z), {})]
                 for a, row in group.items() for b in row}
 
     def pairs():
@@ -447,11 +416,16 @@ def verify_kms(state: KmsState, sample_count: int = 500,
             for j in row[bisect.bisect_left(row, i):]:
                 yield x, handles[j], j != i
         draws = _draws(random.Random(seed), len(big))
-        drawn = functools.cache(table.draw)
-        built = functools.cache(lambda i: table.handle(big[i]))
+
+        @functools.cache
+        def drawn(i):
+            p, _, q = big.ids(i)
+            return p, q, *classes(p, q)
+
+        built = functools.cache(lambda i: handle(big[i]))
         for i, j in itertools.islice(zip(draws, draws), sample_count):
             x, y = drawn(i), drawn(j)
-            if x[2] == y[3] and table.meet(x[0], y[1]) >= 0 and table.meet(
+            if x[2] == y[3] and meet(x[0], y[1]) >= 0 and meet(
                     x[1], y[0]) >= 0:
                 yield built(i), built(j), False
 
@@ -462,12 +436,14 @@ def verify_kms(state: KmsState, sample_count: int = 500,
             # distinct extensions give distinct keys, of coefficient one
             middle = middles.get(a[1] * span + b[2])
             if middle is None:
-                middle = middles[a[1] * span + b[2]] = table._middle(a, b)
+                # a's nu and b's mu meet on every computed pair
+                middle = middles[a[1] * span + b[2]] = tail_middle(
+                    meet(a[3], b[0]), a[1] // n, b[2] // n)
             base, side = a[0] * span + b[3], []
             for t in middle:
                 value = cells.get(t * area + base)
                 if value is None:
-                    value = cells[t * area + base] = table._cell(t, a, b)
+                    value = cells[t * area + base] = cell(t, a, b)
                 if value:
                     side.append(value)
             sides.append(side)

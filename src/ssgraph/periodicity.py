@@ -38,6 +38,8 @@ from .kgraph import Path, join_degrees
 from .perron import (PerronData, rho_kernel_lattice, rho_power_is_one,
                      spectral_data)
 
+SOURCE_CONDITION = "source of mu must be the g-image of the source of nu"
+
 
 class CyclineState(NamedTuple):
     """A comparison state of the fixpoint; a named tuple, so the
@@ -63,8 +65,7 @@ def is_cycline(system, mu: Path, g, nu: Path) -> CyclineCertificate:
     """Decide whether (mu, g, nu) is a cycline triple: the source
     check, the reduction by ``meet_tails`` and ``cycline_search``."""
     if system.act_vertex(g, nu.source) != mu.source:
-        raise PreconditionViolated(
-            "source of mu must be the g-image of the source of nu")
+        raise PreconditionViolated(SOURCE_CONDITION)
     tails = system.graph.meet_tails(mu, nu)
     if tails is None:
         return CyclineCertificate(False, None, (), None)

@@ -14,6 +14,7 @@ from ssgraph.errors import IncompleteTriples, NotPeriodic, \
     PreconditionViolated
 from ssgraph.kms import _MonomialBlock
 from ssgraph.models import odometer_path
+from ssgraph.periodicity import SOURCE_CONDITION, is_cycline
 
 
 def random_element(system, rng, exact=False, size=3):
@@ -57,6 +58,20 @@ def test_monomial_requires_compatible_endpoints(odo22, locally_blind_system):
     # fine within one vertex
     mu = odometer_path(odo22, (1, 0), 0)
     monomial(odo22, mu, odo22.element(1), mu)
+
+
+def test_source_condition_text_is_shared(swap_system):
+    # the swap moves the one-vertex path's source, so s(mu) != g.s(nu)
+    graph = swap_system.graph
+    g = swap_system.generator_element("swap")
+    mu = nu = graph.path([graph.edge(0, 0)])
+    assert swap_system.act_vertex(g, nu.source) != mu.source
+    messages = []
+    for build in (is_cycline, monomial):
+        with pytest.raises(PreconditionViolated) as caught:
+            build(swap_system, mu, g, nu)
+        messages.append(str(caught.value))
+    assert messages == [SOURCE_CONDITION] * 2
 
 
 def test_vertex_projections_multiply(locally_blind_system):

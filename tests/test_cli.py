@@ -202,6 +202,22 @@ def test_validate_parse_error_exit(tmp_path, capsys):
     assert "duplicate edge id 0 in color 1" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("restrictionWord", [True], "restriction word must hold nonzero"),
+    ("image", [True, 0], "image must be [color, id]"),
+    ("image", [1, False], "image must be [color, id]"),
+], ids=["boolean-letter", "boolean-color", "boolean-id"])
+def test_validate_rejects_booleans_as_numbers(tmp_path, capsys, field,
+                                              value, message):
+    # true and false equal 1 and 0, so each row would parse and validate
+    doc = load(gen_file(tmp_path, "odo2.json", "gen", "odometer", "--n", "2"))
+    doc["generators"][0]["edgeAction"][1][field] = value
+    path = tmp_path / "booleans.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
 def test_validate_caps_exit(tmp_path, capsys):
     path = doubling_model_path(tmp_path)
     assert main(["validate", str(path)]) == EXIT_CAPPED
@@ -485,7 +501,10 @@ def test_kms_eval_character_trace(tmp_path):
     ("g", [5], "bad generator index 5"),
     ("mu", {"range": 0, "edges": [[1, 7]]}, "no edge [1, 7]"),
     ("mu", None, "missing field 'mu'"),
-], ids=["integer-g", "unknown-generator", "unknown-edge", "missing-mu"])
+    ("re", True, "re and im must be numbers"),
+    ("im", False, "re and im must be numbers"),
+], ids=["integer-g", "unknown-generator", "unknown-edge", "missing-mu",
+        "boolean-re", "boolean-im"])
 def test_kms_eval_rejects_bad_element_rows(tmp_path, capsys, field, value,
                                            message):
     model = gen_file(tmp_path, "odo2.json", "gen", "odometer", "--n", "2")
