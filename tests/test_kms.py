@@ -481,6 +481,48 @@ def test_odometer_623_walk_is_pinned(odo623):
             report.nonzero) == (True, '0.0', 199148644, 24854)
 
 
+# (ok, repr(max_deviation), checked, nonzero) under Haar, a character
+# at 0.3 per lattice coordinate and the mixture 0.25@0.1 / 0.75@0.2,
+# 100 samples at seed 7; on a rank-0 lattice all three are Haar
+KMS_CORPUS = [
+    ((2,), [(True, "0.0", 424, 17)] * 3),
+    ((3,), [(True, "0.0", 1124, 26)] * 3),
+    ((2, 2), [(True, "0.0", 26344, 211), (True, "0.0", 26344, 399),
+              (True, "0.0", 26344, 399)]),
+    ((2, 3), [(True, "0.0", 83044, 382)] * 3),
+    ((2, 4), [(True, "0.0", 202600, 555), (True, "0.0", 202600, 675),
+              (True, "0.0", 202600, 675)]),
+    ((3, 3), [(True, "0.0", 262244, 628)]
+     + [(True, "1.3877787807814457e-17", 262244, 1158)] * 2),
+    ((2, 2, 2), [(True, "0.0", 2125864, 2883),
+                 (True, "0.0", 2125864, 11667),
+                 (True, "0.0", 2125864, 11667)]),
+    (([[2]], [[1]]), [(True, "0.0", 424, 17)] * 3),
+    (([[3]], [[2]]), [(True, "0.0", 1124, 24)] * 3),
+    (([[2, 1], [1, 2]], [[1, 1], [1, 1]]), [(True, "0.0", 4196, 48)] * 3),
+    (([[3, 1], [1, 2]], [[-2, 1], [1, 1]]),
+     [(True, "1.3877787807814457e-17", 15229, 165)] * 3),
+    (([[2, 4], [1, 2]], [[1, 1], [1, 1]]), [(True, "0.0", 17000, 93)] * 3),
+]
+
+
+def test_kms_corpus_reports_are_pinned():
+    got, expected = {}, {}
+    for model, reports in KMS_CORPUS:
+        system = (build_odometer(model) if isinstance(model[0], int)
+                  else build_katsura(*model))
+        rank = make_kms_state(system).lattice.rank
+        traces = (haar_trace(), character_trace([0.3] * rank),
+                  mixture_trace([(0.25, [0.1] * rank), (0.75, [0.2] * rank)]))
+        for trace, report in zip(traces, reports):
+            case = repr(model), repr(trace)
+            r = verify_kms(make_kms_state(system, trace), sample_count=100,
+                           seed=7)
+            got[case] = r.ok, repr(r.max_deviation), r.checked, r.nonzero
+            expected[case] = report
+    assert got == expected
+
+
 def is_computed(state, x, y):
     """Whether ``verify_kms`` computes the products of x and y: their
     legs meet and their degree differences sum into Per."""
