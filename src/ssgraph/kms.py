@@ -243,6 +243,59 @@ def _draws(rng: random.Random, n: int):
         functools.partial(rng.getrandbits, n.bit_length()), None))
 
 
+def _live_pairs(block, big, handle, meet, classes, sample_count, seed):
+    """The pairs whose products ``verify_kms`` computes, as (x, y,
+    whether yx is a pair of its own) of ``handle``'s handles: the live
+    pairs of ``block`` in the order of the full (i, j >= i) loop, then
+    those of ``sample_count`` draws from ``big``.
+
+    A pair is live when x's mu and y's nu, and x's nu and y's mu, agree
+    at the meet of their degrees (``meet``), and the ``classes`` of d(x)
+    and -d(y) agree, with d(m) = d(mu) - d(nu).  Both products of any
+    other pair are 0 under the state: off the meets they are empty, and
+    every term of xy and of yx has degree difference d(x) + d(y), while
+    a state vanishes off cycline monomials, whose degree differences lie
+    in Per.  Off an exact lattice every class is (), so a cycline term
+    outside the lattice raises NotInLattice.  ``_draws`` draws each
+    sample's indices as ``random.Random(seed).choice(big)`` would; a
+    sample is refuted by its indices' path ids and classes, and its
+    handles are built once per index, for computed pairs only."""
+    handles = [handle(x) for x in block]
+    # the block's path ids in block order: each is a nu of the first element
+    block_ids = list(dict.fromkeys(x[3] for x in handles))
+    # (mu id, nu id) buckets of sorted block indices, indexed by class
+    # pair; a bucket's partners are those of the cancelling class pair
+    # whose paths meet its own, so x's row from its index on is its j >= i
+    near = {p: {q for q in block_ids if meet(p, q) >= 0} for p in block_ids}
+    buckets: dict = {}
+    for i, x in enumerate(handles):
+        buckets.setdefault(x[5:], {}).setdefault(x[0], {}).setdefault(
+            x[3], []).append(i)
+    partners = {(a, b): sorted(j for c in near[b].intersection(others)
+                               for d in near[a].intersection(others[c])
+                               for j in others[c][d])
+                for (z, w), group in buckets.items()
+                for others in [buckets.get((w, z), {})]
+                for a, row in group.items() for b in row}
+    for i, x in enumerate(handles):
+        row = partners[x[0], x[3]]
+        for j in row[bisect.bisect_left(row, i):]:
+            yield x, handles[j], j != i
+    draws = _draws(random.Random(seed), len(big))
+
+    @functools.cache
+    def drawn(i):
+        # big's monomial i as its mu id, nu id and classes
+        p, _, q = big.ids(i)
+        return p, q, *classes(p, q)
+
+    built = functools.cache(lambda i: handle(big[i]))
+    for i, j in itertools.islice(zip(draws, draws), sample_count):
+        x, y = drawn(i), drawn(j)
+        if x[2] == y[3] and meet(x[0], y[1]) >= 0 and meet(x[1], y[0]) >= 0:
+            yield built(i), built(j), False
+
+
 def verify_kms(state: KmsState, sample_count: int = 500,
                tol: float = 1e-9, seed: int = 20_08,
                max_checks: int = 10_000_000) -> KmsReport:
@@ -252,48 +305,32 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     ``max_checks`` checks (the block size squared plus the samples)
     raise ClosureExceeded before any product is made.
 
-    Only live pairs are computed: those where x's mu meets y's nu and
-    x's nu meets y's mu, that is, the two paths agree at the meet of
-    their degrees, and, on an exact lattice, where d(x) + d(y) lies in
-    Per, with d(m) = d(mu) - d(nu).  Both products of any other pair
-    are 0 under the state: off the meets they are empty, and every term
-    of xy and of yx has degree difference d(x) + d(y), while a state
-    vanishes off cycline monomials, whose degree differences lie in
-    Per.  On a lattice that is not exact the class test is off, so a
-    cycline term outside the lattice raises NotInLattice.  Live block
-    pairs run in the order of the full (i, j >= i) loop, each unordered
-    pair on its two products xy and yx.  ``_draws`` draws each sample's
-    indices as ``rng.choice(big)`` would; a sample is refuted by its
-    indices' path ids and classes, and its monomials are built only
-    when its products are computed.  Every check equals
-    ``evaluate(multiply(x, y))`` against
+    Only the pairs of ``_live_pairs`` are computed, and each check
+    equals ``evaluate(multiply(x, y))`` against
     ``evaluate(multiply(y, gauge_scale(state, x)))`` exactly, so the
-    report is that of that loop, and so is any error of a computed
-    pair.
+    report is that of that loop, and so is any error of a computed pair.
 
     The products are memoised in tables that live for the call.  A
     path's id is its index in ``big.paths``; (g, nu) and (mu, g) have
     the id (g's index in the closure) x (the path count) + the path's,
     below ``span``, so a memo key packs its ids into one int.  A
     monomial's handle is (mu id, (g, nu) id, (mu, g) id, nu id, its
-    gauge factor, the classes of z = d(mu) - d(nu) and of -z), and a
-    draw is big's monomial i as its mu id, nu id and classes.  A class
-    is z's residue modulo Per's Hermite basis on an exact lattice and
-    () on any other, where no pair is refuted by class.  ``meet(p, q)``
-    is the id of paths p and q's ``meet_tails``, -1 where their heads
-    differ.  Unique factorisation cancels matched heads, so a middle (a
-    product's terms without the outer legs), memoised on ((g, nu) id,
-    (mu, h) id), is built once per (tails of x's nu and y's mu, g, h),
-    from one ``lambda_min`` of the tails and only when that list is
-    nonempty.  A cell, memoised on (term, x's mu id, y's nu id), is the
-    term with x's mu and y's nu composed on; its cycline verdict is
-    found once per (term, tails of x's mu and y's nu), and it is then
-    worth x(s(head)) / rho**(d(mu) + d(head)) tau(z).  Only the middle
-    checks a term's source condition.  Cycline verdicts come from one
-    ``split_front`` per (path, meet degree) and one fixpoint search per
-    reduced state over one ``shift_edge`` memo, and gauge factors and
-    classes from one ``_gauge_factor`` and two residues per degree
-    pair."""
+    gauge factor, the classes of z = d(mu) - d(nu) and of -z).  A class
+    is z's residue modulo Per's Hermite basis on an exact lattice, () on
+    any other.  ``meet(p, q)`` is the id of paths p and q's
+    ``meet_tails``, -1 where their heads differ.  Unique factorisation
+    cancels matched heads, so a middle (a product's terms without the
+    outer legs), memoised on ((g, nu) id, (mu, h) id), is built once per
+    (tails of x's nu and y's mu, g, h), from one ``lambda_min`` of the
+    tails and only when that list is nonempty.  A cell, memoised on
+    (term, x's mu id, y's nu id), is the term with x's mu and y's nu
+    composed on; its cycline verdict is found once per (term, tails of
+    x's mu and y's nu), and it is then worth x(s(head)) /
+    rho**(d(mu) + d(head)) tau(z).  Only the middle checks a term's
+    source condition.  Cycline verdicts come from one ``split_front``
+    per (path, meet degree) and one fixpoint search per reduced state
+    over one ``shift_edge`` memo, and gauge factors and classes from one
+    ``_gauge_factor`` and two residues per degree pair."""
     _require(state)
     if sample_count < 0:
         raise ValueError(
@@ -391,45 +428,8 @@ def verify_kms(state: KmsState, sample_count: int = 500,
         if lhs:
             nonzero += 1
 
-    handles = [handle(x) for x in block]
-    # (mu id, nu id) buckets of sorted block indices, indexed by class
-    # pair; a bucket's partners are those of the cancelling class pair
-    # whose paths meet its own, so x's row from its index on is its j >= i
-    block_ids = [ids[p] for p in block.paths]
-    near = {p: {q for q in block_ids if meet(p, q) >= 0} for p in block_ids}
-    buckets: dict = {}
-    for i, x in enumerate(handles):
-        buckets.setdefault(x[5:], {}).setdefault(x[0], {}).setdefault(
-            x[3], []).append(i)
-    partners = {(a, b): sorted(j for c in near[b].intersection(others)
-                               for d in near[a].intersection(others[c])
-                               for j in others[c][d])
-                for (z, w), group in buckets.items()
-                for others in [buckets.get((w, z), {})]
-                for a, row in group.items() for b in row}
-
-    def pairs():
-        # live block pairs in the full (i, j >= i) loop's order, with
-        # whether yx is a pair of its own, then the live samples
-        for i, x in enumerate(handles):
-            row = partners[x[0], x[3]]
-            for j in row[bisect.bisect_left(row, i):]:
-                yield x, handles[j], j != i
-        draws = _draws(random.Random(seed), len(big))
-
-        @functools.cache
-        def drawn(i):
-            p, _, q = big.ids(i)
-            return p, q, *classes(p, q)
-
-        built = functools.cache(lambda i: handle(big[i]))
-        for i, j in itertools.islice(zip(draws, draws), sample_count):
-            x, y = drawn(i), drawn(j)
-            if x[2] == y[3] and meet(x[0], y[1]) >= 0 and meet(
-                    x[1], y[0]) >= 0:
-                yield built(i), built(j), False
-
-    for x, y, mirrored in pairs():
+    for x, y, mirrored in _live_pairs(block, big, handle, meet, classes,
+                                      sample_count, seed):
         sides = []
         for a, b in (x, y), (y, x):
             # ab's nonzero monomial values in ``multiply``'s order;

@@ -15,7 +15,7 @@ from ssgraph import kms
 from ssgraph.action import ActionCaps
 from ssgraph.cli import emit_model, parse_model
 from ssgraph.errors import ClosureExceeded, NotInLattice, SimplexEmpty
-from ssgraph.intlattice import lattice_coordinates
+from ssgraph.intlattice import lattice_coordinates, lattice_residue
 from ssgraph.kgraph import KGraph, add_degrees, sub_degrees
 from ssgraph.kms import KmsReport, character_trace, evaluate, gauge_scale, \
     haar_trace, make_kms_state, mixture_trace, restrict_to_diagonal, \
@@ -525,13 +525,15 @@ def test_kms_corpus_reports_are_pinned():
 
 def is_computed(state, x, y):
     """Whether ``verify_kms`` computes the products of x and y: their
-    legs meet and their degree differences sum into Per."""
+    legs meet and, on an exact lattice, their degree differences sum
+    into Per."""
     graph = state.system.graph
     z = add_degrees(sub_degrees(x.mu.degree, x.nu.degree),
                     sub_degrees(y.mu.degree, y.nu.degree))
     return graph.meet_tails(x.mu, y.nu) is not None \
         and graph.meet_tails(x.nu, y.mu) is not None \
-        and lattice_coordinates(state.lattice.basis, z) is not None
+        and (not state.lattice.exact
+             or lattice_coordinates(state.lattice.basis, z) is not None)
 
 
 def computed_sample_pairs(state, big, samples, seed):
@@ -547,6 +549,59 @@ def computed_sample_indices(state, big, samples, seed):
     ``verify_kms`` computes, in the order it first computes them."""
     return list(dict.fromkeys(itertools.chain.from_iterable(
         computed_sample_pairs(state, big, samples, seed))))
+
+
+def walked_pairs(state, samples, seed):
+    """``kms._live_pairs`` on its own, as (x, y, mirrored) monomial
+    keys: its handles carry their monomial, its meets are
+    ``meet_tails`` and its classes the residues modulo Per, or () on a
+    lattice that is not exact."""
+    system, lattice = state.system, state.lattice
+    graph = system.graph
+    block, big = (kms._MonomialBlock(system, (b,) * graph.k,
+                                     system.generator_closure())
+                  for b in (1, 2))
+    ids = {p: i for i, p in enumerate(big.paths)}
+
+    def meet(p, q):
+        return 0 if graph.meet_tails(big.paths[p], big.paths[q]) else -1
+
+    def classes(p, q):
+        if not lattice.exact:
+            return (), ()
+        z = sub_degrees(big.paths[p].degree, big.paths[q].degree)
+        return (lattice_residue(lattice.basis, z),
+                lattice_residue(lattice.basis, tuple(-c for c in z)))
+
+    def handle(m):
+        p, q = ids[m.mu], ids[m.nu]
+        return p, None, None, q, m, *classes(p, q)
+
+    return [(x[4], y[4], mirrored) for x, y, mirrored in kms._live_pairs(
+        block, big, handle, meet, classes, samples, seed)]
+
+
+@pytest.mark.parametrize("name,samples,seed", [
+    ("odo22", 500, 7), ("kat2v", 500, 7), ("adding_machine", 4000, 3),
+    ("flip_square_system", 500, 7)])
+def test_live_pairs_are_the_computed_pairs(name, samples, seed, request):
+    # the block pairs in the (i, j >= i) loop's order, yx a pair of its
+    # own off the diagonal, then the drawn pairs; flip_square_system's
+    # lattice is not exact, so no pair there is refuted by class
+    system = (bench_model(name) if name == "adding_machine"
+              else request.getfixturevalue(name))
+    state = make_kms_state(system, character_trace([0.3])
+                           if name == "odo22" else None)
+    assert state.lattice.exact == (name != "flip_square_system")
+    small, big = ([key for m in reference_monomials(system, bound)
+                   for key in m.terms]
+                  for bound in ((1,) * system.graph.k, (2,) * system.graph.k))
+    block = [(x, y, i != j) for i, x in enumerate(small)
+             for j, y in enumerate(small[i:], i) if is_computed(state, x, y)]
+    sampled = [(big[i], big[j], False)
+               for i, j in computed_sample_pairs(state, big, samples, seed)]
+    assert block and sampled
+    assert walked_pairs(state, samples, seed) == block + sampled
 
 
 def test_products_are_keyed_on_the_tails_at_the_meet(odo22, monkeypatch):
