@@ -126,9 +126,9 @@ class ActionSystem:
                 eid = act[(color, eid)]
             out = self._reduce(word)
             if len(out) > self.caps.max_word_length:
-                raise ClosureExceeded(
-                    f"restriction word exceeds cap max_word_length="
-                    f"{self.caps.max_word_length} (reached {len(out)} letters)")
+                raise ClosureExceeded.cap(
+                    "restriction word", "max_word_length",
+                    self.caps.max_word_length, len(out), "letters")
             hit = self._edge_memo[(key, ce)] = (eid, out)
         return hit
 
@@ -171,11 +171,10 @@ class ActionSystem:
                 images.append(image)
                 if res not in index:
                     if len(states) >= self.caps.max_pair_states:
-                        raise ClosureExceeded(
-                            f"restriction closure of {self.key_str(word)} "
-                            f"exceeds cap max_pair_states="
-                            f"{self.caps.max_pair_states} (reached "
-                            f"{len(states) + 1} states)")
+                        raise ClosureExceeded.cap(
+                            f"restriction closure of {self.key_str(word)}",
+                            "max_pair_states", self.caps.max_pair_states,
+                            len(states) + 1)
                     index[res] = len(states)
                     states.append(res)
                 row.append(index[res])
@@ -258,16 +257,15 @@ class ActionSystem:
         """The closure of the seeds under edge restriction, as an
         automaton: each state, in breadth-first order from the seeds,
         with its canonical restriction along every color-edge."""
-        cap = self.caps.max_closure
         rows: dict[Word, dict[ColorEdge, Word]] = {}
         keys: list[Word] = []
 
         def visit(key):
             if key not in rows:
-                if len(rows) >= cap:
-                    raise ClosureExceeded(
-                        f"restriction closure exceeds cap max_closure="
-                        f"{cap} (reached {len(rows) + 1} states)")
+                if len(rows) >= self.caps.max_closure:
+                    raise ClosureExceeded.cap(
+                        "restriction closure", "max_closure",
+                        self.caps.max_closure, len(rows) + 1)
                 rows[key] = {}
                 keys.append(key)
             return key
@@ -348,10 +346,9 @@ class ActionSystem:
                     h = GroupElement(self._canonical_key(g.key + (letter,)))
                     if h.key not in seen:
                         if len(seen) >= self.caps.max_closure:
-                            raise ClosureExceeded(
-                                f"word ball exceeds cap max_closure="
-                                f"{self.caps.max_closure} (reached "
-                                f"{len(seen) + 1} states)")
+                            raise ClosureExceeded.cap(
+                                "word ball", "max_closure",
+                                self.caps.max_closure, len(seen) + 1)
                         seen.add(h.key)
                         out.append(h)
                         new_frontier.append(h)

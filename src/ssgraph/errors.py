@@ -19,6 +19,12 @@ class BadRange(SSGraphError):
 class ClosureExceeded(SSGraphError):
     """A closure, word, or fixpoint computation hit a configured cap."""
 
+    @classmethod
+    def cap(cls, what, name, limit, count, unit="states"):
+        """The error of ``what`` passing cap ``name``, whose limit is
+        ``limit``, on reaching ``count`` ``unit``."""
+        return cls(f"{what} exceeds cap {name}={limit} (reached {count} {unit})")
+
 
 class PreconditionViolated(SSGraphError):
     """An operation precondition (endpoint or degree compatibility) failed."""

@@ -80,7 +80,6 @@ def cycline_search(system, start: CyclineState,
     caller's memo of it shared by many searches on one graph."""
     graph = system.graph
     shift = shift or graph.shift_edge
-    state_cap = system.caps.state_cap
     seen = {start}
     queue = deque([start])
     while queue:
@@ -97,10 +96,10 @@ def cycline_search(system, start: CyclineState,
                                     system.restrict_edge(state.h, e),
                                     right_tail)
                 if succ not in seen:
-                    if len(seen) >= state_cap:
-                        raise ClosureExceeded(
-                            f"cycline fixpoint exceeds cap state_cap="
-                            f"{state_cap} (reached {len(seen) + 1} states)")
+                    if len(seen) >= system.caps.state_cap:
+                        raise ClosureExceeded.cap(
+                            "cycline fixpoint", "state_cap",
+                            system.caps.state_cap, len(seen) + 1)
                     seen.add(succ)
                     queue.append(succ)
     return CyclineCertificate(True, start, tuple(seen), None)
