@@ -21,8 +21,7 @@ class ClosureExceeded(SSGraphError):
 
     @classmethod
     def cap(cls, what, name, limit, count, unit="states"):
-        """The error of ``what`` passing cap ``name``, whose limit is
-        ``limit``, on reaching ``count`` ``unit``."""
+        """``what`` exceeds cap ``name``=``limit`` on reaching ``count``."""
         return cls(f"{what} exceeds cap {name}={limit} (reached {count} {unit})")
 
 

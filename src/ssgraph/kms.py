@@ -251,15 +251,14 @@ def _live_pairs(block, big, handle, meet, classes, sample_count, seed):
 
     A pair is live when x's mu and y's nu, and x's nu and y's mu, agree
     at the meet of their degrees (``meet``), and the ``classes`` of d(x)
-    and -d(y) agree, with d(m) = d(mu) - d(nu).  Both products of any
-    other pair are 0 under the state: off the meets they are empty, and
+    and -d(y) agree, with d(m) = d(mu) - d(nu).  Any other pair's
+    products are 0 under the state: off the meets they are empty, and
     every term of xy and of yx has degree difference d(x) + d(y), while
     a state vanishes off cycline monomials, whose degree differences lie
-    in Per.  Off an exact lattice every class is (), so a cycline term
-    outside the lattice raises NotInLattice.  ``_draws`` draws each
-    sample's indices as ``random.Random(seed).choice(big)`` would; a
-    sample is refuted by its indices' path ids and classes, and its
-    handles are built once per index, for computed pairs only."""
+    in Per.  ``_draws`` draws each sample's indices as
+    ``random.Random(seed).choice(big)`` would; a sample is refuted by
+    its indices' path ids and classes, and its handles are built once
+    per index, for computed pairs only."""
     handles = [handle(x) for x in block]
     # the block's path ids in block order: each is a nu of the first element
     block_ids = list(dict.fromkeys(x[3] for x in handles))
@@ -317,7 +316,8 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     monomial's handle is (mu id, (g, nu) id, (mu, g) id, nu id, its
     gauge factor, the classes of z = d(mu) - d(nu) and of -z).  A class
     is z's residue modulo Per's Hermite basis on an exact lattice, () on
-    any other.  ``meet(p, q)`` is the id of paths p and q's
+    any other, where a cycline term outside the lattice raises
+    NotInLattice.  ``meet(p, q)`` is the id of paths p and q's
     ``meet_tails``, -1 where their heads differ.  Unique factorisation
     cancels matched heads, so a middle (a product's terms without the
     outer legs), memoised on ((g, nu) id, (mu, h) id), is built once per
