@@ -496,6 +496,98 @@ def test_kms_eval_character_trace(tmp_path):
     assert doc["value"]["im"] == pytest.approx(0.0)
 
 
+def _row(mu, g, nu, re, im):
+    """An element row; ``mu`` and ``nu`` are (range, edge pairs)."""
+    return {"mu": {"range": mu[0], "edges": [list(e) for e in mu[1]]},
+            "g": g,
+            "nu": {"range": nu[0], "edges": [list(e) for e in nu[1]]},
+            "re": re, "im": im}
+
+
+# the vertex projection, cycline monomials of degree difference (1, -1)
+# and 0, two that are not cycline, and a repeated key whose coefficients
+# add up
+ODOMETER_22_ROWS = [
+    _row((0, []), [], (0, []), 0.5, -0.25),
+    _row((0, [(1, 0)]), [], (0, [(2, 0)]), 1.5, 0.75),
+    _row((0, [(1, 1), (2, 0)]), [], (0, [(2, 1), (2, 0)]), -0.3, 2.0),
+    _row((0, [(1, 1)]), [], (0, [(1, 1)]), 0.125, 0.0),
+    _row((0, [(1, 0)]), [1], (0, [(2, 0)]), 0.2, -1.1),
+    _row((0, [(2, 1)]), [-1, -1], (0, [(1, 0)]), 0.7, 0.3),
+    _row((0, [(1, 0)]), [], (0, [(2, 0)]), -0.5, 0.5),
+]
+
+# the same rows on the one-colour Katsura graph, whose lattice is {0}
+KATSURA_2V_ROWS = [
+    _row((0, []), [], (0, []), 0.5, -0.25),
+    _row((0, [(1, 0)]), [], (0, [(1, 0)]), 1.5, 0.75),
+    _row((0, [(1, 1), (1, 0)]), [], (0, [(1, 1), (1, 0)]), -0.3, 2.0),
+    _row((1, [(1, 3)]), [], (1, [(1, 3)]), 0.125, 0.0),
+    _row((0, [(1, 0)]), [1], (0, [(1, 0)]), 0.2, -1.1),
+    _row((1, [(1, 4)]), [-1, -1], (1, [(1, 5)]), 0.7, 0.3),
+    _row((0, [(1, 0)]), [], (0, [(1, 0)]), -0.5, 0.5),
+]
+
+ODOMETER_22_STDOUT = """{
+  "basis": [
+    [
+      1,
+      -1
+    ]
+  ],
+  "exists": true,
+  "rank": 1,
+  "value": {
+    "im": %s,
+    "re": %s
+  },
+  "verdict": "simplex of tracial states of C*(Z^1): probability measures on the 1-torus",
+  "verify": {
+    "checked": 26249,
+    "maxDeviation": 0.0,
+    "ok": true
+  }
+}
+"""
+
+KATSURA_2V_STDOUT = """{
+  "basis": [],
+  "exists": true,
+  "rank": 0,
+  "value": {
+    "im": 0.19444444444444442,
+    "re": 0.4208333333333333
+  },
+  "verdict": "unique KMS state",
+  "verify": {
+    "checked": 4101,
+    "maxDeviation": 0.0,
+    "ok": true
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("gen, rows, trace, expected", [
+    (["odometer", "--n", "2,2"], ODOMETER_22_ROWS, "haar",
+     ODOMETER_22_STDOUT % ("-0.25", "0.5625")),
+    (["odometer", "--n", "2,2"], ODOMETER_22_ROWS, "character:0.3",
+     ODOMETER_22_STDOUT % ("-0.19344509924637548", "-0.6387708034414006")),
+    (["katsura", "--t", "2,1;1,2", "--b", "1,1;1,1"], KATSURA_2V_ROWS,
+     "haar", KATSURA_2V_STDOUT),
+], ids=["odo22-haar", "odo22-character", "katsura-2v-haar"])
+def test_kms_eval_element_stdout_is_pinned(tmp_path, capsys, gen, rows,
+                                           trace, expected):
+    """The whole ``kms-eval --element`` stdout, byte for byte, on a
+    complex element of several rows and nonzero degrees."""
+    model = gen_file(tmp_path, "model.json", "gen", *gen)
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps(rows))
+    assert main(["kms-eval", str(model), "--trace", trace, "--samples", "5",
+                 "--element", str(element)]) == EXIT_OK
+    assert capsys.readouterr() == (expected, "")
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("g", 1, "field 'g' must be list"),
     ("g", [5], "bad generator index 5"),
