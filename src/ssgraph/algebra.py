@@ -4,14 +4,14 @@ Elements are finite formal sums over canonical monomial keys; no
 operator norm exists here, so equality means equality of coefficient
 maps.  Multiplication expands through minimal common extensions, so
 the defining relation u_g s_mu = s_{g.mu} u_{g|mu} falls out of
-``multiply`` rather than being applied as a rewrite rule.  Coefficients are either
-complex floats or exact Gaussian rationals; the exact mode is what the
-golden identities are tested in.
+``multiply`` rather than being applied as a rewrite rule.  Coefficients
+are plain Python numbers: ints and Fractions stay exact under + and *,
+which is what the golden identities are tested in.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 from typing import NamedTuple
 
 from .errors import IncompleteTriples, NonComposable, NotPeriodic, \
@@ -20,44 +20,6 @@ from .kgraph import Path, join_degrees, zero_degree
 from .periodicity import SOURCE_CONDITION, cycline_triples, is_cycline
 
 COEFF_TOL = 1e-12
-
-
-@dataclass(frozen=True, slots=True)
-class ExactComplex:
-    """A Gaussian rational, kept exact through ring operations."""
-
-    re: Fraction
-    im: Fraction
-
-    def __add__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
-
-    def __mul__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
-
-EXACT_ZERO = ExactComplex(Fraction(0), Fraction(0))
-EXACT_ONE = ExactComplex(Fraction(1), Fraction(0))
-
-
-def exact_number(re, im=0) -> ExactComplex:
-    return ExactComplex(Fraction(re), Fraction(im))
 
 
 class Monomial(NamedTuple):
@@ -75,16 +37,20 @@ class Monomial(NamedTuple):
 class AlgebraElement:
     """A finite sum of monomials with nonzero coefficients.
 
-    ``exact`` selects Gaussian-rational coefficients; float elements
-    compare with tolerance, exact ones on the nose.
+    An element is exact when every coefficient is rational (an int or a
+    Fraction); exact elements compare on the nose, others within
+    ``COEFF_TOL``.
     """
 
     system: "ActionSystem"
     terms: dict
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return all(isinstance(val, Rational) for val in self.terms.values())
 
     def coefficient(self, key: Monomial):
-        return self.terms.get(key, EXACT_ZERO if self.exact else 0j)
+        return self.terms.get(key, 0)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return add(self, other)
@@ -102,90 +68,72 @@ def _checked_monomial(system, mu: Path, g, nu: Path) -> Monomial:
     return Monomial(mu, g, nu)
 
 
-def _as_coeff(value, exact: bool):
-    if isinstance(value, ExactComplex):
-        return value if exact else value.to_complex()
-    if exact:
-        if isinstance(value, complex):
-            return ExactComplex(Fraction(value.real), Fraction(value.imag))
-        return ExactComplex(Fraction(value), Fraction(0))
-    return complex(value)
-
-
-def element(system, triples, exact: bool = False) -> AlgebraElement:
+def element(system, triples) -> AlgebraElement:
     """Build an element from ``(mu, g, nu, coefficient)`` entries."""
     terms: dict = {}
     for mu, g, nu, coeff in triples:
         key = _checked_monomial(system, mu, g, nu)
-        value = terms.get(key)
-        coeff = _as_coeff(coeff, exact)
-        terms[key] = coeff if value is None else value + coeff
-    return AlgebraElement(system, _drop_zeros(terms), exact)
+        terms[key] = terms.get(key, 0) + coeff
+    return AlgebraElement(system, _drop_zeros(terms))
 
 
 def _drop_zeros(terms: dict) -> dict:
     return {key: val for key, val in terms.items() if val}
 
 
-def zero_element(system, exact: bool = False) -> AlgebraElement:
-    return AlgebraElement(system, {}, exact)
+def zero_element(system) -> AlgebraElement:
+    return AlgebraElement(system, {})
 
 
-def monomial(system, mu: Path, g, nu: Path, coeff=1,
-             exact: bool = False) -> AlgebraElement:
-    return element(system, [(mu, g, nu, coeff)], exact)
+def monomial(system, mu: Path, g, nu: Path, coeff=1) -> AlgebraElement:
+    return element(system, [(mu, g, nu, coeff)])
 
 
-def vertex_projection(system, v: int, exact: bool = False) -> AlgebraElement:
+def vertex_projection(system, v: int) -> AlgebraElement:
     p = system.graph.vertex_path(v)
-    return monomial(system, p, system.identity, p, 1, exact)
+    return monomial(system, p, system.identity, p)
 
 
-def edge_monomial(system, e, exact: bool = False) -> AlgebraElement:
+def edge_monomial(system, e) -> AlgebraElement:
     """The partial isometry s_e as the monomial (e, 1, s(e))."""
     graph = system.graph
     return monomial(system, graph.path([e]), system.identity,
-                    graph.vertex_path(e.source), 1, exact)
+                    graph.vertex_path(e.source))
 
 
-def generator_unitary(system, g, exact: bool = False) -> AlgebraElement:
+def generator_unitary(system, g) -> AlgebraElement:
     """u_g as the sum over vertices of (g.v, g, v)."""
     graph = system.graph
     entries = []
     for v in range(graph.num_vertices):
         image = graph.vertex_path(system.act_vertex(g, v))
         entries.append((image, g, graph.vertex_path(v), 1))
-    return element(system, entries, exact)
+    return element(system, entries)
 
 
-def identity_element(system, exact: bool = False) -> AlgebraElement:
-    return generator_unitary(system, system.identity, exact)
+def identity_element(system) -> AlgebraElement:
+    return generator_unitary(system, system.identity)
 
 
-def diagonal_identity(system, degree, exact: bool = False) -> AlgebraElement:
+def diagonal_identity(system, degree) -> AlgebraElement:
     """The identity refined along degree: sum of (lam, 1, lam) over
     all paths lam of the given degree.  Multiplying by it rewrites an
     element through the exhaustive-decomposition relation."""
     entries = [(lam, system.identity, lam, 1)
                for lam in system.graph.paths_of_degree(tuple(degree))]
-    return element(system, entries, exact)
+    return element(system, entries)
 
 
 def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    exact = a.exact and b.exact
-    terms: dict = {}
-    for part in (a, b):
-        for key, val in part.terms.items():
-            val = _as_coeff(val, exact)
-            hit = terms.get(key)
-            terms[key] = val if hit is None else hit + val
-    return AlgebraElement(a.system, _drop_zeros(terms), exact)
+    terms = dict(a.terms)
+    for key, val in b.terms.items():
+        terms[key] = terms.get(key, 0) + val
+    return AlgebraElement(a.system, _drop_zeros(terms))
 
 
 def scale(a: AlgebraElement, factor) -> AlgebraElement:
-    factor = _as_coeff(factor, a.exact)
     terms = {key: val * factor for key, val in a.terms.items()}
-    return AlgebraElement(a.system, _drop_zeros(terms), a.exact)
+    return AlgebraElement(a.system, _drop_zeros(terms))
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -193,15 +141,13 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if a.system is not b.system:
         raise PreconditionViolated("elements live over different systems")
     system = a.system
-    exact = a.exact and b.exact
     terms: dict = {}
     for left, cl in a.terms.items():
         for right, cr in b.terms.items():
-            coeff = _as_coeff(cl, exact) * _as_coeff(cr, exact)
+            coeff = cl * cr
             for key in _monomial_product(system, left, right):
-                hit = terms.get(key)
-                terms[key] = coeff if hit is None else hit + coeff
-    return AlgebraElement(system, _drop_zeros(terms), exact)
+                terms[key] = terms.get(key, 0) + coeff
+    return AlgebraElement(system, _drop_zeros(terms))
 
 
 def _monomial_product(system, left: Monomial, right: Monomial):
@@ -242,10 +188,8 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
     for key, val in a.terms.items():
         flipped = _checked_monomial(system, key.nu,
                                       system.inverse(key.g), key.mu)
-        conj = val.conjugate()
-        hit = terms.get(flipped)
-        terms[flipped] = conj if hit is None else hit + conj
-    return AlgebraElement(system, _drop_zeros(terms), a.exact)
+        terms[flipped] = terms.get(flipped, 0) + val.conjugate()
+    return AlgebraElement(system, _drop_zeros(terms))
 
 
 def max_deviation(a: AlgebraElement, b: AlgebraElement) -> float:
@@ -253,26 +197,25 @@ def max_deviation(a: AlgebraElement, b: AlgebraElement) -> float:
     keys = set(a.terms) | set(b.terms)
     worst = 0.0
     for key in keys:
-        ca = _as_coeff(a.coefficient(key), False)
-        cb = _as_coeff(b.coefficient(key), False)
+        ca = complex(a.coefficient(key))
+        cb = complex(b.coefficient(key))
         worst = max(worst, abs(ca - cb))
     return worst
 
 
-def _terms_match(a: AlgebraElement, b: AlgebraElement, tol: float) -> bool:
+def _terms_match(a: AlgebraElement, b: AlgebraElement) -> bool:
     if a.exact and b.exact:
         return a.terms == b.terms
-    return max_deviation(a, b) <= tol
+    return max_deviation(a, b) <= COEFF_TOL
 
 
 def refine(a: AlgebraElement, degree) -> AlgebraElement:
     """Rewrite through the exhaustive decomposition at the given
     degree: every monomial's right leg is extended to degree-v-join."""
-    return multiply(a, diagonal_identity(a.system, degree, a.exact))
+    return multiply(a, diagonal_identity(a.system, degree))
 
 
-def elements_equal(a: AlgebraElement, b: AlgebraElement,
-                   tol: float = COEFF_TOL) -> bool:
+def elements_equal(a: AlgebraElement, b: AlgebraElement) -> bool:
     """Equality at the dense-span level.
 
     Formal sums that differ as coefficient maps can still represent
@@ -281,17 +224,17 @@ def elements_equal(a: AlgebraElement, b: AlgebraElement,
     raw mismatch is retried after refining both sides to the join of
     all right-leg degrees.
     """
-    if _terms_match(a, b, tol):
+    if _terms_match(a, b):
         return True
     target = zero_degree(a.system.graph.k)
     for part in (a, b):
         for key in part.terms:
             target = join_degrees(target, key.nu.degree)
-    return _terms_match(refine(a, target), refine(b, target), tol)
+    return _terms_match(refine(a, target), refine(b, target))
 
 
-def periodicity_unitary(system, m, n, elements=None, ball_radius: int = 3,
-                        exact: bool = True) -> AlgebraElement:
+def periodicity_unitary(system, m, n, elements=None,
+                        ball_radius: int = 3) -> AlgebraElement:
     """V_{m,n}: the sum of all cycline monomials at degrees (m, n).
 
     Every degree-m path must head exactly one triple; a partial fiber
@@ -308,7 +251,7 @@ def periodicity_unitary(system, m, n, elements=None, ball_radius: int = 3,
     if len(heads) != len(set(heads)) or len(heads) != len(fiber):
         raise IncompleteTriples(
             f"{len(heads)} triples for a fiber of {len(fiber)} paths")
-    return element(system, [(mu, g, nu, 1) for mu, g, nu in triples], exact)
+    return element(system, [(mu, g, nu, 1) for mu, g, nu in triples])
 
 
 def expectation(system, a: AlgebraElement) -> AlgebraElement:
@@ -318,24 +261,23 @@ def expectation(system, a: AlgebraElement) -> AlgebraElement:
         key: val for key, val in a.terms.items()
         if is_cycline(system, key.mu, key.g, key.nu).verdict
     }
-    return AlgebraElement(system, dict(terms), a.exact)
+    return AlgebraElement(system, terms)
 
 
-def is_central_on_generators(system, a: AlgebraElement,
-                             tol: float = COEFF_TOL) -> bool:
+def is_central_on_generators(system, a: AlgebraElement) -> bool:
     """Whether ``a`` commutes with every edge monomial, vertex
     projection, and generator unitary."""
     graph = system.graph
     probes = []
     for row in graph.edges:
         for e in row:
-            probes.append(edge_monomial(system, e, a.exact))
+            probes.append(edge_monomial(system, e))
     for v in range(graph.num_vertices):
-        probes.append(vertex_projection(system, v, a.exact))
+        probes.append(vertex_projection(system, v))
     for gen in system.generators:
         probes.append(generator_unitary(
-            system, system.generator_element(gen.name), a.exact))
-    return all(elements_equal(multiply(a, x), multiply(x, a), tol)
+            system, system.generator_element(gen.name)))
+    return all(elements_equal(multiply(a, x), multiply(x, a))
                for x in probes)
 
 
@@ -369,7 +311,7 @@ def _path_from_json(graph, row, side, where) -> Path:
 def element_to_json(a: AlgebraElement) -> list:
     out = []
     for key, val in a.terms.items():
-        coeff = _as_coeff(val, False)
+        coeff = complex(val)
         out.append({
             "mu": _path_to_json(key.mu),
             "g": list(key.g.key),
@@ -383,7 +325,7 @@ def element_to_json(a: AlgebraElement) -> list:
     return out
 
 
-def element_from_json(system, rows, exact: bool = False) -> AlgebraElement:
+def element_from_json(system, rows) -> AlgebraElement:
     """Inverse of :func:`element_to_json`.  Rows come from outside the
     program, so each malformed one raises ParseError."""
     if not isinstance(rows, list):
@@ -404,4 +346,4 @@ def element_from_json(system, rows, exact: bool = False) -> AlgebraElement:
         if not all(type(x) in (int, float) for x in (re, im)):
             raise ParseError(f"{where}: re and im must be numbers")
         entries.append((mu, g, nu, complex(re, im)))
-    return element(system, entries, exact)
+    return element(system, entries)

@@ -148,7 +148,7 @@ def evaluate(state: KmsState, a: "algebra.AlgebraElement") -> complex:
     for key, coeff in a.terms.items():
         value = _evaluate_monomial(state, key)
         if value:
-            total += algebra._as_coeff(coeff, False) * value
+            total += coeff * value
     return total
 
 
@@ -166,8 +166,7 @@ def gauge_scale(state: KmsState, a: "algebra.AlgebraElement"):
     entries = []
     for key, coeff in a.terms.items():
         entries.append((key.mu, key.g, key.nu,
-                        algebra._as_coeff(coeff, False)
-                        * _gauge_factor(state, key)))
+                        coeff * _gauge_factor(state, key)))
     return algebra.element(state.system, entries)
 
 

@@ -22,6 +22,8 @@ from .intlattice import kernel_basis, prime_exponents
 from .kgraph import KGraph
 
 INTEGER_TOL = 1e-9
+RESIDUAL_TOL = 1e-12
+MAX_ITER = 100_000
 
 
 @dataclass
@@ -53,8 +55,7 @@ def _mat_vec(mat, x) -> list[float]:
     return [_total(a * b for a, b in zip(row, x)) for row in mat]
 
 
-def spectral_data(graph: KGraph, tol: float = 1e-12,
-                  max_iter: int = 100_000) -> PerronData:
+def spectral_data(graph: KGraph) -> PerronData:
     """Power iteration for the common eigenvector and the radii vector."""
     if not graph.strongly_connected():
         raise NotStronglyConnected("spectral data needs a strongly connected graph")
@@ -69,7 +70,7 @@ def spectral_data(graph: KGraph, tol: float = 1e-12,
     x = [1.0 / n] * n
     iterations = 0
     residuals = None
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         x = _mat_vec(shifted, x)
         total = _total(x)
         x = [v / total for v in x]
@@ -77,11 +78,11 @@ def spectral_data(graph: KGraph, tol: float = 1e-12,
         rho = tuple(_total(image) for image in images)
         residuals = tuple(_total(abs(a - r * b) for a, b in zip(image, x))
                           for image, r in zip(images, rho))
-        if max(residuals) < tol:
+        if max(residuals) < RESIDUAL_TOL:
             break
     else:
         raise NoConvergence(
-            f"residual {max(residuals):.3e} after {max_iter} iterations")
+            f"residual {max(residuals):.3e} after {MAX_ITER} iterations")
     return PerronData(rho, tuple(x), residuals, iterations,
                       _integer_certificate(mats, rho, x))
 

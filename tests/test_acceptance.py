@@ -116,7 +116,7 @@ def test_criterion_3_perron_data(odo22, odo23, odo24, odo623, kat21, kat32):
 def test_criterion_4_periodicity_unitary(odo22):
     failures = []
     v = periodicity_unitary(odo22, (1, 0), (0, 1))
-    one = identity_element(odo22, exact=True)
+    one = identity_element(odo22)
     if not v.exact:
         failures.append("V is not in rational mode")
     if not elements_equal(multiply(v, adjoint(v)), one):
@@ -232,8 +232,8 @@ def test_criterion_8_structural_identities(odo22, odo23, odo24):
         + list(gamma_bijection(odo24, (2, 0), (0, 1)).items())
     systems = [odo22] * 6 + [odo24] * 4
     for system, (mu, nu) in zip(systems, pairs):
-        left = monomial(system, mu, system.identity, mu, exact=True)
-        right = monomial(system, nu, system.identity, nu, exact=True)
+        left = monomial(system, mu, system.identity, mu)
+        right = monomial(system, nu, system.identity, nu)
         if not elements_equal(left, right):
             failures.append(f"range projections differ for {mu} and {nu}")
     report(8, "expectation and cycline projection identities", failures)

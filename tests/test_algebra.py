@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from ssgraph.algebra import ExactComplex, add, adjoint, diagonal_identity, \
+from ssgraph.algebra import add, adjoint, diagonal_identity, \
     edge_monomial, element, element_from_json, element_to_json, \
-    elements_equal, exact_number, expectation, generator_unitary, \
+    elements_equal, expectation, generator_unitary, \
     identity_element, is_central_on_generators, max_deviation, monomial, \
     multiply, periodicity_unitary, refine, scale, vertex_projection, \
     zero_element
@@ -29,23 +29,26 @@ def random_element(system, rng, exact=False, size=3):
         if system.act_vertex(g, nu.source) != mu.source:
             continue
         if exact:
-            coeff = exact_number(Fraction(rng.randint(-3, 3), 2))
+            coeff = Fraction(rng.randint(-3, 3), 2)
         else:
             coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         entries.append((mu, g, nu, coeff))
-    return element(system, entries, exact=exact)
+    return element(system, entries)
 
 
-def test_exact_complex_ring_ops():
-    a = exact_number(Fraction(1, 2), Fraction(1, 3))
-    b = exact_number(Fraction(1, 2), Fraction(-1, 3))
-    assert a + b == exact_number(1)
-    assert a.conjugate() == b
-    product = a * b
-    assert product == exact_number(Fraction(1, 4) + Fraction(1, 9))
-    assert not ExactComplex(Fraction(0), Fraction(0))
-    assert (a - a) == exact_number(0)
-    assert complex(a.to_complex()) == pytest.approx(0.5 + 1j / 3)
+def test_exactness_follows_the_coefficients(odo22):
+    mu = odometer_path(odo22, (1, 0), 0)
+    a = monomial(odo22, mu, odo22.identity, mu, coeff=Fraction(1, 3))
+    square = multiply(a, a)
+    assert square.exact and adjoint(square).exact
+    assert square.terms == {(mu, odo22.identity, mu): Fraction(1, 9)}
+    assert adjoint(square).terms == square.terms
+    assert not multiply(scale(a, 0.5), a).exact
+    # exact elements compare on the nose, float ones within COEFF_TOL
+    near = add(a, monomial(odo22, mu, odo22.identity, mu,
+                           coeff=Fraction(1, 10**15)))
+    assert near.exact and not elements_equal(a, near)
+    assert elements_equal(scale(a, 1.0), scale(near, 1.0))
 
 
 def test_monomial_requires_compatible_endpoints(odo22, locally_blind_system):
@@ -206,17 +209,17 @@ def test_scale_and_zero(odo22):
 def test_exact_mode_stays_rational(odo22):
     mu = odometer_path(odo22, (1, 0), 0)
     a = monomial(odo22, mu, odo22.identity, mu,
-                 coeff=exact_number(Fraction(1, 3)), exact=True)
+                 coeff=Fraction(1, 3))
     b = multiply(a, a)
     for value in b.terms.values():
-        assert isinstance(value, ExactComplex)
-        assert value.re.denominator == 9
+        assert isinstance(value, Fraction)
+        assert value.denominator == 9
 
 
 def test_periodicity_unitary_on_balanced_machine(odo22):
     v = periodicity_unitary(odo22, (1, 0), (0, 1))
     assert v.exact
-    one = identity_element(odo22, exact=True)
+    one = identity_element(odo22)
     assert elements_equal(multiply(v, adjoint(v)), one)
     assert elements_equal(multiply(adjoint(v), v), one)
     assert is_central_on_generators(odo22, v)
