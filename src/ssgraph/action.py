@@ -25,7 +25,6 @@ faithful and degenerate checks are three searches of that one graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ClosureExceeded, PreconditionViolated, ValidationReport
@@ -45,8 +44,7 @@ class GroupElement(NamedTuple):
     key: Word
 
 
-@dataclass(frozen=True)
-class GeneratorTable:
+class GeneratorTable(NamedTuple):
     """Action data of a single generator.
 
     ``act`` maps (color, edge id) to the image edge id of the same
@@ -61,8 +59,7 @@ class GeneratorTable:
     restrict: Mapping[ColorEdge, Word]
 
 
-@dataclass(frozen=True)
-class ActionCaps:
+class ActionCaps(NamedTuple):
     """Caps that raise ClosureExceeded: ``max_closure`` on closures and
     word balls, ``max_word_length`` on restriction words,
     ``max_pair_states`` on the words walked to canonicalise one word,
@@ -378,8 +375,7 @@ def _number(keys) -> list[int]:
 
 # -- hypothesis checks --------------------------------------------------
 
-@dataclass
-class HypothesisVerdict:
+class HypothesisVerdict(NamedTuple):
     ok: bool
     witness_element: str | None = None
     witness_path: tuple[Edge, ...] | None = None

@@ -10,7 +10,6 @@ which is what the golden identities are tested in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Rational
 from typing import NamedTuple
 
@@ -33,13 +32,13 @@ class Monomial(NamedTuple):
     nu: Path
 
 
-@dataclass
-class AlgebraElement:
+class AlgebraElement(NamedTuple):
     """A finite sum of monomials with nonzero coefficients.
 
     An element is exact when every coefficient is rational (an int or a
     Fraction); exact elements compare on the nose, others within
-    ``COEFF_TOL``.
+    ``COEFF_TOL``.  Scalars multiply through ``scale``: ``2 * a`` raises
+    TypeError instead of repeating the tuple.
     """
 
     system: "ActionSystem"
@@ -60,6 +59,9 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return multiply(self, other)
+
+    def __rmul__(self, other):
+        return NotImplemented
 
 
 def _checked_monomial(system, mu: Path, g, nu: Path) -> Monomial:

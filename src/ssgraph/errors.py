@@ -1,8 +1,6 @@
 """Shared exception types and validation reports."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class SSGraphError(Exception):
     """Base class for all package errors."""
@@ -93,11 +91,11 @@ class ValidationError(SSGraphError):
         self.report = report
 
 
-@dataclass
 class ValidationReport:
     """Collected validation problems; empty means the object is valid."""
 
-    problems: list[str] = field(default_factory=list)
+    def __init__(self, problems=()):
+        self.problems: list[str] = list(problems)
 
     @property
     def ok(self) -> bool:

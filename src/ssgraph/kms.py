@@ -17,7 +17,7 @@ import itertools
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import algebra
 from .errors import ClosureExceeded, NotInLattice, SimplexEmpty
@@ -29,8 +29,7 @@ from .perron import (PerronData, check_g_invariance, pf_state_value,
                      spectral_data)
 
 
-@dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(NamedTuple):
     """A tracial state of the lattice group's C*-algebra: Haar when
     ``weights`` is None, otherwise a convex mixture of characters, each
     weight paired with one torus coordinate per lattice basis vector.
@@ -79,27 +78,19 @@ def trace_value(trace: TraceSpec, lattice: PeriodicityLattice, z) -> complex:
     return acc
 
 
-@dataclass
-class KmsState:
+class KmsState(NamedTuple):
     """The equilibrium simplex and, when it is nonempty, its state of
     ``trace``.  The simplex is nonempty (``exists``) exactly when the
     eigenvector is constant on generator vertex orbits, and is then the
     tracial state space of C*(Per).  ``lattice`` is Per, None on an
-    empty simplex; a trace must give one coordinate per basis vector."""
+    empty simplex.  Build it with ``make_kms_state``, which checks that
+    the trace gives one coordinate per basis vector."""
 
     system: "ActionSystem"
     data: PerronData
     lattice: PeriodicityLattice | None
     trace: TraceSpec
     exists: bool
-
-    def __post_init__(self):
-        if self.lattice is None:
-            return
-        for _, theta in self.trace.weights or ():
-            if len(theta) != self.lattice.rank:
-                raise ValueError(f"character needs {self.lattice.rank} "
-                                 f"coordinates, got {len(theta)}")
 
     @property
     def rank(self) -> int | None:
@@ -126,13 +117,20 @@ def make_kms_state(system, trace: TraceSpec | None = None,
                    tol: float = 1e-9) -> KmsState:
     """The state of ``trace`` (Haar when None).  The lattice of
     (``box_radius``, ``ball_radius``) is computed only when the simplex
-    is nonempty."""
+    is nonempty, and then every character of ``trace`` must give one
+    coordinate per lattice basis vector."""
     data = spectral_data(system.graph)
     exists = check_g_invariance(data, system, tol)
     lattice = periodicity_group(system, box_radius, ball_radius,
                                 perron_data=data, tol=tol) if exists else None
-    return KmsState(system, data, lattice,
-                    haar_trace() if trace is None else trace, exists)
+    if trace is None:
+        trace = haar_trace()
+    elif lattice is not None:
+        for _, theta in trace.weights or ():
+            if len(theta) != lattice.rank:
+                raise ValueError(f"character needs {lattice.rank} "
+                                 f"coordinates, got {len(theta)}")
+    return KmsState(system, data, lattice, trace, exists)
 
 
 def _require(state: KmsState) -> None:
@@ -177,8 +175,7 @@ def _gauge_factor(state: KmsState, key) -> float:
         sub_degrees(key.mu.degree, key.nu.degree))
 
 
-@dataclass
-class KmsReport:
+class KmsReport(NamedTuple):
     """``nonzero`` counts the checked pairs whose left side phi(xy)
     is nonzero; the rest hold vacuously, as 0 = 0."""
 
@@ -454,8 +451,7 @@ def verify_kms(state: KmsState, sample_count: int = 500,
     return KmsReport(worst < tol, worst, needed, tol, nonzero)
 
 
-@dataclass
-class DiagonalReport:
+class DiagonalReport(NamedTuple):
     ok: bool
     max_deviation: float
     checked: int

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (BoxClosureViolation, ClosureExceeded,
@@ -50,8 +49,7 @@ class CyclineState(NamedTuple):
     beta: Path
 
 
-@dataclass(frozen=True)
-class CyclineCertificate:
+class CyclineCertificate(NamedTuple):
     """Outcome of the fixpoint; ``states`` is the surviving reachable
     set on success, ``failure`` the refuting state and edge otherwise."""
 
@@ -148,8 +146,7 @@ def sigma_contains(system, p, q, g, v) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PeriodicityLattice:
+class PeriodicityLattice(NamedTuple):
     """The periodicity group as a Hermite basis.
 
     ``exact`` is True when the basis spans all of Per: the kernel K of

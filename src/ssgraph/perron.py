@@ -14,8 +14,8 @@ since Python 3.12, which would tie the reported bits to the version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NoConvergence, NotStronglyConnected
 from .intlattice import kernel_basis, prime_exponents
@@ -26,8 +26,7 @@ RESIDUAL_TOL = 1e-12
 MAX_ITER = 100_000
 
 
-@dataclass
-class PerronData:
+class PerronData(NamedTuple):
     """Spectral data: per-color radii, the common eigenvector, the
     residuals achieved, and an exact integer certificate when available."""
 

@@ -118,7 +118,7 @@ def test_criterion_4_periodicity_unitary(odo22):
     v = periodicity_unitary(odo22, (1, 0), (0, 1))
     one = identity_element(odo22)
     if not v.exact:
-        failures.append("V is not in rational mode")
+        failures.append("V is not exact")
     if not elements_equal(multiply(v, adjoint(v)), one):
         failures.append("V V* != 1")
     if not elements_equal(multiply(adjoint(v), v), one):

@@ -140,6 +140,26 @@ def test_adjoint_is_antimultiplicative_involution(odo22):
         assert max_deviation(left, right) < 1e-9
 
 
+def test_exact_elements_obey_the_algebra_laws(odo22):
+    # rational coefficients stay rational, so every law holds on the nose
+    rng = random.Random(53)
+    for _ in range(30):
+        a, b, c = (random_element(odo22, rng, exact=True) for _ in range(3))
+        sides = [(multiply(multiply(a, b), c), multiply(a, multiply(b, c))),
+                 (multiply(a, add(b, c)), add(multiply(a, b), multiply(a, c))),
+                 (adjoint(adjoint(a)), a),
+                 (adjoint(multiply(a, b)), multiply(adjoint(b), adjoint(a)))]
+        for left, right in sides:
+            assert left.exact and right.exact
+            assert elements_equal(left, right)
+
+
+def test_scalars_do_not_multiply_elements_from_the_left(odo22):
+    # an element is a named tuple, and 2 * a must not repeat it
+    with pytest.raises(TypeError):
+        2 * identity_element(odo22)
+
+
 def test_generator_unitaries_represent_the_group(odo22):
     one = odo22.element(1)
     two = odo22.element(2)

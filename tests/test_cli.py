@@ -77,6 +77,15 @@ def test_gen_katsura_matrix_parsing(tmp_path):
     assert len(system.generators) == 1
 
 
+def test_gen_katsura_takes_a_negative_matrix_after_equals(capsys):
+    # "--b -2,1;1,1" reads as an option; the "=" form keeps the sign
+    assert main(["gen", "katsura", "--t", "3,1;1,2",
+                 "--b=-2,1;1,1"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["metadata"] == {"model": "katsura", "t": [[3, 1], [1, 2]],
+                               "b": [[-2, 1], [1, 1]]}
+
+
 def test_gen_writes_stdout_without_json_flag(capsys):
     assert main(["gen", "odometer", "--n", "2,2"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
@@ -741,3 +750,12 @@ def test_import_loads_no_numeric_library():
     proc = run_python(
         "-c", "import sys, ssgraph; sys.exit('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # records are named tuples, so no verb pays for either module
+    proc = run_python("-c", "import sys, ssgraph, ssgraph.cli, ssgraph.kms, "
+                      "ssgraph.models; print(sorted({'dataclasses', "
+                      "'inspect'} & sys.modules.keys()))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"

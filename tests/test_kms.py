@@ -1,6 +1,5 @@
 import cmath
 import collections
-import dataclasses
 import itertools
 import random
 
@@ -401,8 +400,7 @@ def test_each_product_cell_is_composed_once(odo22, monkeypatch):
 def without_class_test(state):
     """A copy of ``state`` whose lattice is not marked exact, on which
     ``verify_kms`` refutes no pair by its degree class."""
-    return dataclasses.replace(
-        state, lattice=dataclasses.replace(state.lattice, exact=False))
+    return state._replace(lattice=state.lattice._replace(exact=False))
 
 
 def test_cycline_search_runs_once_per_reduced_state(monkeypatch):
@@ -678,8 +676,7 @@ def test_each_cycline_cell_is_valued_once(odo22, monkeypatch):
 def test_cycline_cap_bounds_verify_kms():
     # odometer (2,2) needs more than one fixpoint state per search
     capped = build_odometer((2, 2), ActionCaps(state_cap=1))
-    state = dataclasses.replace(make_kms_state(build_odometer((2, 2))),
-                                system=capped)
+    state = make_kms_state(build_odometer((2, 2)))._replace(system=capped)
     with pytest.raises(ClosureExceeded, match="cap state_cap=1 "):
         verify_kms(state, sample_count=0)
 
@@ -885,8 +882,7 @@ def test_draws_match_random_choice(n):
 
 def test_kms_check_fails_off_the_lattice(odo22):
     state = make_kms_state(odo22)
-    broken = dataclasses.replace(
-        state, lattice=PeriodicityLattice(0, (), 4, 3))
+    broken = state._replace(lattice=PeriodicityLattice(0, (), 4, 3))
     with pytest.raises(NotInLattice, match=r"\(1, -1\)"):
         verify_kms(broken, sample_count=10)
 
@@ -917,8 +913,7 @@ def test_restricted_diagonal_matches_perron_state(odo22, odo23, kat21,
 def test_restricted_diagonal_detects_wrong_perron_data(name, field, value,
                                                        deviation, request):
     state = make_kms_state(request.getfixturevalue(name))
-    broken = dataclasses.replace(
-        state, data=dataclasses.replace(state.data, **{field: value}))
+    broken = state._replace(data=state.data._replace(**{field: value}))
     report = restrict_to_diagonal(broken)
     assert not report.ok
     assert report.max_deviation == pytest.approx(deviation)
