@@ -507,8 +507,10 @@ def validate_action(sys: ActionSystem) -> ValidationReport:
             if None in ids:
                 rep.add(f"{label}: color {color} edge action is incomplete")
                 continue
-            if sorted(ids) != list(range(len(graph.edges[color]))):
+            if sorted(ids) != list(range(len(ids))):
                 rep.add(f"{label}: color {color} edge action is not a bijection")
+                if not all(0 <= i < len(ids) for i in ids):
+                    continue  # an image outside the color has no edge
             for e in graph.edges[color]:
                 img = graph.edge(color, gen.act[(color, e.id)])
                 if img.range_vertex != gen.vertex_map[e.range_vertex] \

@@ -239,7 +239,7 @@ class KGraph:
         mid, _ = self.split_front(tail, sub_degrees(q, p))
         return mid
 
-    def paths_of_degree(self, n: Degree, from_vertex=None, to_vertex=None):
+    def paths_of_degree(self, n: Degree, from_vertex=None):
         """All canonical paths of degree ``n``, in lexicographic edge order."""
         ranges = [from_vertex] if from_vertex is not None \
             else range(self.num_vertices)
@@ -251,8 +251,7 @@ class KGraph:
             while stack:
                 v, acc = stack.pop()
                 if len(acc) == len(colors):
-                    if to_vertex is None or v == to_vertex:
-                        out.append(Path(rv, tuple(acc), n))
+                    out.append(Path(rv, tuple(acc), n))
                     continue
                 color = colors[len(acc)]
                 for e in reversed(self._edges_from[color][v]):

@@ -182,7 +182,6 @@ class KmsReport(NamedTuple):
     ok: bool
     max_deviation: float
     checked: int
-    tol: float
     nonzero: int = 0
 
 
@@ -448,7 +447,7 @@ def verify_kms(state: KmsState, sample_count: int = 500,
             tally(xy, yx, x[4])
             if mirrored:
                 tally(yx, xy, y[4])
-    return KmsReport(worst < tol, worst, needed, tol, nonzero)
+    return KmsReport(worst < tol, worst, needed, nonzero)
 
 
 class DiagonalReport(NamedTuple):

@@ -10,25 +10,28 @@ The matrices are a few vertices wide, so the iteration runs on plain
 floats.  Every float dot product and total is summed left to right from
 0.0 in an explicit loop: the built-in ``sum`` compensates float sums
 since Python 3.12, which would tie the reported bits to the version.
+
+The iteration only proposes integer radii.  A proposal is certified by
+the exact integer kernel of the stacked A_i - rho_i I, and a certified
+graph reports that kernel's positive vector as x, exactly rounded.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NoConvergence, NotStronglyConnected
 from .intlattice import kernel_basis, prime_exponents
 from .kgraph import KGraph
 
-INTEGER_TOL = 1e-9
 RESIDUAL_TOL = 1e-12
 MAX_ITER = 100_000
 
 
 class PerronData(NamedTuple):
-    """Spectral data: per-color radii, the common eigenvector, the
-    residuals achieved, and an exact integer certificate when available."""
+    """Spectral data: per-color radii, the common eigenvector, the power
+    iteration's residuals and iteration count, and the integer radii
+    when certified, in which case rho and x are the exact data."""
 
     rho: tuple[float, ...]
     x: tuple[float, ...]
@@ -82,22 +85,25 @@ def spectral_data(graph: KGraph) -> PerronData:
     else:
         raise NoConvergence(
             f"residual {max(residuals):.3e} after {MAX_ITER} iterations")
-    return PerronData(rho, tuple(x), residuals, iterations,
-                      _integer_certificate(mats, rho, x))
+    ints, v = _integer_certificate(mats, rho)
+    if ints is not None:
+        total = sum(v)
+        rho, x = tuple(map(float, ints)), [a / total for a in v]
+    return PerronData(rho, tuple(x), residuals, iterations, ints)
 
 
-def _integer_certificate(mats, rho, x):
-    """Round rho to integers and certify by an exact rational
-    eigenvector check; None unless every color certifies."""
+def _integer_certificate(mats, rho):
+    """Round rho to integers and take the integer kernel of the stacked
+    A_i - rho_i I.  A nonnegative matrix's only eigenvalue with a
+    positive eigenvector is its spectral radius, so a kernel spanned by
+    a positive v certifies the rounded radii.  Returns (radii, v), or
+    (None, None) when the kernel is not such a line."""
     ints = tuple(round(r) for r in rho)
-    if any(abs(r - r_int) >= INTEGER_TOL for r, r_int in zip(rho, ints)):
-        return None
-    rational = [Fraction(v / max(x)).limit_denominator(10 ** 9) for v in x]
-    for mat, r_int in zip(mats, ints):
-        for row, value in zip(mat, rational):
-            if sum(a * b for a, b in zip(row, rational)) != r_int * value:
-                return None
-    return ints
+    stacked = [[a - r * (i == j) for j, a in enumerate(row)]
+               for mat, r in zip(mats, ints) for i, row in enumerate(mat)]
+    basis = kernel_basis(stacked, len(mats[0]))
+    return (ints, basis[0]) if len(basis) == 1 and min(basis[0]) > 0 \
+        else (None, None)
 
 
 def pf_state_value(data: PerronData, mu) -> float:
@@ -130,9 +136,8 @@ def rho_kernel_lattice(data: PerronData):
 
 def rho_power_is_one(data: PerronData, z, tol: float = 1e-9) -> bool:
     if data.rho_int is not None:
-        value = Fraction(1)
-        for base, exp in zip(data.rho_int, z):
-            value *= Fraction(base) ** exp
-        return value == 1
+        pairs = tuple(zip(data.rho_int, z))
+        return math.prod(b ** e for b, e in pairs if e > 0) \
+            == math.prod(b ** -e for b, e in pairs if e < 0)
     log_sum = _total(exp * math.log(base) for base, exp in zip(data.rho, z))
     return abs(log_sum) < tol

@@ -550,6 +550,16 @@ def test_validate_reports_missing_restriction_word():
         "generator 's': restriction word at (0,1) is missing"]
 
 
+def test_validate_reports_out_of_range_image():
+    # an image id past the color's edges is reported, not looked up
+    from tests.conftest import make_loops_graph
+    wild = GeneratorTable("w", (0,), {(0, 0): 7, (0, 1): 0},
+                          {(0, 0): (), (0, 1): ()})
+    report = validate_action(ActionSystem(make_loops_graph(2), (wild,)))
+    assert report.problems == [
+        "generator 'w': color 0 edge action is not a bijection"]
+
+
 def test_inverse_letter_needs_an_invertible_table():
     # an inverse row exists only for a vertex permutation that is
     # injective on edges; otherwise the inverse letter is refused

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ssgraph
+from ssgraph import perron
 from ssgraph.action import ActionCaps, ActionSystem, GeneratorTable
 from ssgraph.cli import EXIT_CAPPED, EXIT_INVALID, EXIT_OK, MODEL_SCHEMA, \
     REPORT_SCHEMA, canonical_bytes, emit_model, main, parse_model, \
@@ -15,7 +17,8 @@ from ssgraph.errors import ParseError, ValidationError
 from ssgraph.kgraph import Edge, KGraph
 from ssgraph.models import build_odometer
 
-from tests.conftest import MODELS, bench_model, make_loops_graph
+from tests.conftest import MODELS, bench_model, make_fibonacci_graph, \
+    make_loops_graph
 
 
 def gen_file(tmp_path, name, *argv):
@@ -138,6 +141,28 @@ def test_parse_rejects_gapped_edge_ids(tmp_path):
         parse_model(doc)
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc["edges"][0].update(color=3),
+     "edge 0: color 3 out of range"),
+    (lambda doc: doc["edges"][0].update(source=1),
+     "edge 0: endpoint out of range"),
+    (lambda doc: doc["squares"][0].update(i=2, j=1),
+     "square colors (2,1) must satisfy i<j"),
+    (lambda doc: doc["squares"].append(dict(doc["squares"][0])),
+     "duplicate square for edges ({f},{g}) in colors (1,2)"),
+], ids=["edge-color", "edge-endpoint", "square-colors", "duplicate-square"])
+def test_validate_rejects_bad_edges_and_squares(tmp_path, capsys, mutate,
+                                                message):
+    doc = base_doc(tmp_path)
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert message.format(**doc["squares"][0]) in err
+    assert "Traceback" not in err
+
+
 def test_parse_rejects_bad_generator_rows(tmp_path):
     doc = base_doc(tmp_path)
 
@@ -227,6 +252,24 @@ def test_validate_rejects_booleans_as_numbers(tmp_path, capsys, field,
     assert message in capsys.readouterr().err
 
 
+def test_out_of_range_edge_image_exits_2(tmp_path, capsys):
+    # image id 7 on a color with two edges is listed, not looked up
+    doc = load(gen_file(tmp_path, "odo2.json", "gen", "odometer", "--n", "2"))
+    doc["generators"][0]["edgeAction"][0]["image"] = [1, 7]
+    path = tmp_path / "image7.json"
+    path.write_text(json.dumps(doc))
+    problem = "generator '+1': color 0 edge action is not a bijection"
+    assert main(["validate", str(path)]) == EXIT_INVALID
+    assert json.loads(capsys.readouterr().out) == {"valid": False,
+                                                   "problems": [problem]}
+    assert main(["analyze", str(path)]) == EXIT_INVALID
+    assert json.loads(capsys.readouterr().out)["validation"] == {
+        "graph": [], "action": [problem], "valid": False}
+    for verb in ("per", "kms-eval"):
+        assert main([verb, str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {problem}\n"
+
+
 def test_validate_caps_exit(tmp_path, capsys):
     path = doubling_model_path(tmp_path)
     assert main(["validate", str(path)]) == EXIT_CAPPED
@@ -290,6 +333,25 @@ def test_analyze_invalid_model_stops_after_validation(tmp_path):
     assert any("bijection" in p for p in report["validation"]["graph"])
     assert "perron" not in report
     assert "hypotheses" not in report
+
+
+def test_analyze_takes_a_tolerance(tmp_path, capsys):
+    model = gen_file(tmp_path, "odo2.json", "gen", "odometer", "--n", "2")
+    assert main(["analyze", str(model), "--tol", "1e-6"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["params"]["tol"] == 1e-06
+
+
+@pytest.mark.parametrize("t, rho", [("2,4;1,2", 4.0), ("2,6;1,3", 5.0)])
+def test_analyze_prints_exact_certified_perron_data(tmp_path, capsys, t,
+                                                    rho):
+    model = gen_file(tmp_path, "kat.json", "gen", "katsura", "--t", t,
+                     "--b", "1,1;1,1")
+    assert main(["analyze", str(model)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f'"rho": [\n      {rho}\n    ]' in out
+    perron = json.loads(out)["perron"]
+    assert (perron["rho"], perron["rhoInt"], perron["x"]) == (
+        [rho], [int(rho)], [0.6666666666666666, 0.3333333333333333])
 
 
 def test_analyze_caps_exit_and_report(tmp_path):
@@ -480,6 +542,13 @@ def test_per_reports_lattice(tmp_path, capsys):
     assert doc == {"rank": 0, "basis": [], "boxRadius": 4, "ballRadius": 3,
                    "exact": True,
                    "method": {"vectors": "kernel", "elements": None}}
+
+
+def test_per_reads_the_model_from_stdin(tmp_path, capsys, monkeypatch):
+    model = gen_file(tmp_path, "odo22.json", "gen", "odometer", "--n", "2,2")
+    monkeypatch.setattr("sys.stdin", io.StringIO(model.read_text()))
+    assert main(["per", "-"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["basis"] == [[1, -1]]
 
 
 def test_kms_eval_character_trace(tmp_path):
@@ -731,6 +800,24 @@ def test_analyze_exits_2_when_the_perron_stage_fails(tmp_path, capsys):
         "error": "spectral data needs a strongly connected graph"}
 
 
+def test_analyze_exits_2_when_the_iteration_does_not_converge(
+        tmp_path, capsys, monkeypatch):
+    graph = make_fibonacci_graph()
+    fixed = GeneratorTable("e", (0, 1), {(0, e): e for e in range(3)},
+                           {(0, e): () for e in range(3)})
+    path = tmp_path / "fibonacci.json"
+    path.write_bytes(canonical_bytes(emit_model(graph, ActionSystem(
+        graph, (fixed,)))))
+    monkeypatch.setattr(perron, "MAX_ITER", 1)
+    assert main(["analyze", str(path)]) == EXIT_INVALID
+    report = json.loads(capsys.readouterr().out)
+    assert report["validation"]["valid"]
+    error = report["perron"]["error"]
+    assert error.startswith("residual ") and error.endswith(
+        " after 1 iterations")
+    assert list(report["perron"]) == ["error"]
+
+
 def run_python(*argv):
     src = str(Path(ssgraph.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -756,6 +843,7 @@ def test_import_loads_no_dataclasses_or_inspect():
     # records are named tuples, so no verb pays for either module
     proc = run_python("-c", "import sys, ssgraph, ssgraph.cli, ssgraph.kms, "
                       "ssgraph.models; print(sorted({'dataclasses', "
-                      "'inspect'} & sys.modules.keys()))")
+                      "'inspect', 'fractions', 'decimal'} & "
+                      "sys.modules.keys()))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"

@@ -264,7 +264,7 @@ def reference_report(block, sampled, tol):
     """The ``KmsReport`` of the block's and the samples' reference
     checks."""
     worst = max(block[0], sampled[0])
-    return KmsReport(worst < tol, worst, block[1] + sampled[1], tol,
+    return KmsReport(worst < tol, worst, block[1] + sampled[1],
                      block[2] + sampled[2])
 
 

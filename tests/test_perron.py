@@ -4,11 +4,12 @@ import math
 import pytest
 
 from ssgraph.errors import NotStronglyConnected
-from ssgraph.intlattice import lattice_contains
+from ssgraph.intlattice import kernel_basis, lattice_contains
 from ssgraph.kgraph import Edge, KGraph
+from ssgraph.kms import haar_trace, make_kms_state, restrict_to_diagonal
 from ssgraph.models import build_katsura
-from ssgraph.perron import check_g_invariance, pf_state_value, \
-    rho_kernel_lattice, rho_power_is_one, spectral_data
+from ssgraph.perron import _integer_certificate, check_g_invariance, \
+    pf_state_value, rho_kernel_lattice, rho_power_is_one, spectral_data
 
 from tests.conftest import make_fibonacci_graph
 
@@ -63,6 +64,39 @@ def test_spectral_data_bits_are_pinned(graph, fields):
     data = spectral_data(graph)
     assert tuple(map(repr, (data.rho, data.x, data.residuals,
                             data.iterations, data.rho_int))) == fields
+
+
+@pytest.mark.parametrize("t, fields", [
+    ([[2, 4], [1, 2]],
+     ("(4.0,)", "(0.6666666666666666, 0.3333333333333333)",
+      "(3.106404022901188e-13,)", "18", "(4,)")),
+    ([[2, 6], [1, 3]],
+     ("(5.0,)", "(0.6666666666666666, 0.3333333333333333)",
+      "(4.924949337237194e-13,)", "16", "(5,)")),
+], ids=["katsura-24-12", "katsura-26-13"])
+def test_certified_perron_data_is_exact(t, fields):
+    # the iterate reads rho 4.000000000000116 (5.000000000000295) here;
+    # a certified graph reports the integer kernel's vector (2, 1)
+    # instead, while residuals and iterations stay the iteration's
+    system = build_katsura(t, [[1, 1], [1, 1]])
+    data = spectral_data(system.graph)
+    assert tuple(map(repr, (data.rho, data.x, data.residuals,
+                            data.iterations, data.rho_int))) == fields
+    state = make_kms_state(system, haar_trace(), 2, 2)
+    assert restrict_to_diagonal(state).max_deviation == 0.0
+
+
+def test_integer_certificate_needs_a_positive_kernel_line():
+    fibonacci = [[1, 1], [1, 0]]
+    # 2 is no eigenvalue of the Fibonacci matrix: the kernel is empty
+    assert kernel_basis([[-1, 1], [1, -2]], 2) == ()
+    assert _integer_certificate([fibonacci], (2.0,)) == (None, None)
+    # -1 is an eigenvalue of the 2-cycle, but its kernel (1, -1) is not
+    # positive, so only the spectral radius 1 certifies
+    cycle = [[0, 1], [1, 0]]
+    assert kernel_basis([[1, 1], [1, 1]], 2) == ((1, -1),)
+    assert _integer_certificate([cycle], (-1.0,)) == (None, None)
+    assert _integer_certificate([cycle], (1.0,)) == ((1,), (1, 1))
 
 
 def test_residuals_small_on_builtins(odo22, odo23, odo24, odo623, kat21,
