@@ -30,7 +30,11 @@ def _pivot(row) -> int | None:
 
 
 def hnf_basis(vectors, k: int) -> tuple[Vector, ...]:
-    """Hermite basis of the subgroup of Z^k generated by ``vectors``."""
+    """Hermite basis of the subgroup of Z^k generated by ``vectors``.
+
+    The rows are reduced above their pivots after every vector, not
+    only at the end: unreduced, the entries of an n-by-n kernel's
+    transform grow exponentially in n while the vectors go in."""
     rows: list[list[int]] = []  # echelon form, pivots strictly increasing
     for vec in vectors:
         row = list(vec)
@@ -53,13 +57,13 @@ def hnf_basis(vectors, k: int) -> tuple[Vector, ...]:
                        for s, r in zip(rows[idx], row)]
                 rows[idx] = combined
             idx += 1
-    for i in range(len(rows)):
-        col = _pivot(rows[i])
-        for above in range(i):
-            q = rows[above][col] // rows[i][col]
-            if q:
-                for j in range(k):
-                    rows[above][j] -= q * rows[i][j]
+        for i in range(len(rows)):
+            col = _pivot(rows[i])
+            for above in range(i):
+                q = rows[above][col] // rows[i][col]
+                if q:
+                    for j in range(k):
+                        rows[above][j] -= q * rows[i][j]
     return tuple(tuple(row) for row in rows)
 
 

@@ -1,9 +1,10 @@
 import random
+import time
 
 from hypothesis import given, settings, strategies as st
 
-from ssgraph.intlattice import hnf_basis, lattice_contains, \
-    lattice_coordinates, lattice_residue
+from ssgraph.intlattice import hnf_basis, kernel_basis, \
+    lattice_contains, lattice_coordinates, lattice_residue
 
 
 def test_known_hermite_forms():
@@ -77,6 +78,23 @@ def test_empty_basis_contains_only_zero():
     assert lattice_coordinates((), (1, 0)) is None
     assert lattice_contains((), (0, 0, 0))
     assert not lattice_contains((), (0, 1, 0))
+
+
+def test_kernel_of_a_wide_matrix_is_found_quickly():
+    # spectral_data takes such a kernel for every rounded radius; with
+    # the rows reduced only at the end, the first case ran for tens of
+    # seconds on a 2-vCPU host, its transform entries growing with n
+    n = 30
+    rng = random.Random(n)
+    mat = [[rng.randint(2, 3) if i == j else rng.randint(1, 2)
+            for j in range(n)] for i in range(n)]
+    shifted = [[a - 45 * (i == j) for j, a in enumerate(row)]
+               for i, row in enumerate(mat)]
+    ones_minus_n = [[1 - n * (i == j) for j in range(n)] for i in range(n)]
+    start = time.perf_counter()
+    assert kernel_basis(shifted, n) == ()
+    assert kernel_basis(ones_minus_n, n) == ((1,) * n,)
+    assert time.perf_counter() - start < 5
 
 
 @st.composite
