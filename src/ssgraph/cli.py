@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import algebra, kms
@@ -21,7 +20,7 @@ from .errors import ClosureExceeded, NoConvergence, NotStronglyConnected, \
 from .kgraph import Edge, KGraph, validate_kgraph
 from .models import build_katsura, build_odometer
 from .periodicity import periodicity_group
-from .perron import check_g_invariance, spectral_data
+from .perron import TOL, check_g_invariance, spectral_data
 
 MODEL_SCHEMA = "ssgraph/1"
 REPORT_SCHEMA = "ssgraph/report/2"
@@ -207,14 +206,14 @@ def canonical_bytes(doc) -> bytes:
 # -- analysis pipeline ---------------------------------------------------
 
 def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
-                 ball_radius: int = 3, tol: float = 1e-9) -> dict:
+                 ball_radius: int = 3) -> dict:
     """Validation, hypothesis checks, spectral data, periodicity, and
     the KMS verdict in one deterministic report.  Later stages run
     only when validation passes; cap hits are embedded per stage."""
     report = {
         "schema": REPORT_SCHEMA,
         "params": {"boxRadius": box_radius, "ballRadius": ball_radius,
-                   "tol": tol},
+                   "tol": TOL},
     }
     graph_report = validate_kgraph(graph)
     action_report = ValidationReport()
@@ -279,12 +278,12 @@ def run_analysis(graph: KGraph, system: ActionSystem, box_radius: int = 4,
         lattice = None
         try:
             lattice = periodicity_group(system, box_radius, ball_radius,
-                                        perron_data=data, tol=tol)
+                                        perron_data=data)
             periodicity = _lattice_doc(lattice)
         except ClosureExceeded as err:
             periodicity = {"error": str(err)}
             capped = True
-        exists = check_g_invariance(data, system, tol)
+        exists = check_g_invariance(data, system)
         if lattice is None and exists:
             # a nonempty simplex needs the lattice that hit the cap
             kms_section = {"error": periodicity["error"]}
@@ -382,17 +381,6 @@ def _count(text: str) -> int:
     return count
 
 
-def _tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {text!r}")
-    return tol
-
-
 def _load_validated(path: str):
     data = _read_document(path)
     return parse_model(data, validate=True)
@@ -415,7 +403,6 @@ def main(argv=None) -> int:
     search = argparse.ArgumentParser(add_help=False, parents=[output])
     search.add_argument("--box", type=_count, default=4, help=BOX_HELP)
     search.add_argument("--ball", type=_count, default=3, help=BALL_HELP)
-    search.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p_gen = sub.add_parser("gen", help="emit a built-in model file")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
@@ -492,7 +479,7 @@ def _dispatch(args) -> int:
     if args.verb == "analyze":
         data = _read_document(args.model)
         graph, system = parse_model(data, validate=False)
-        report = run_analysis(graph, system, args.box, args.ball, args.tol)
+        report = run_analysis(graph, system, args.box, args.ball)
         _write_output(report, args.out)
         if report.get("capped"):
             return EXIT_CAPPED
@@ -502,21 +489,18 @@ def _dispatch(args) -> int:
 
     if args.verb == "per":
         graph, system = _load_validated(args.model)
-        lattice = periodicity_group(system, args.box, args.ball,
-                                    tol=args.tol)
+        lattice = periodicity_group(system, args.box, args.ball)
         _write_output(_lattice_doc(lattice), args.out)
         return EXIT_OK
 
     if args.verb == "kms-eval":
         trace = _parse_trace(args.trace)
         graph, system = _load_validated(args.model)
-        state = kms.make_kms_state(system, trace, args.box, args.ball,
-                                   args.tol)
+        state = kms.make_kms_state(system, trace, args.box, args.ball)
         doc = {**_summary_doc(state),
                "basis": [list(v) for v in state.basis or ()]}
         if state.exists:
             verify = kms.verify_kms(state, sample_count=args.samples,
-                                    tol=args.tol,
                                     max_checks=args.max_checks)
             doc["verify"] = {
                 "ok": verify.ok,

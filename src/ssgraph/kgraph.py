@@ -101,13 +101,15 @@ class KGraph:
             pair: {val: key for key, val in table.items()}
             for pair, table in self.squares.items()
         }
-        # edges_from[color][v] lists edges with range v, sorted by id
+        # edges_from[color][v] lists edges with range v, sorted by id;
+        # an edge off the colors or vertices is left to validate_kgraph
         self._edges_from = [
             [[] for _ in range(num_vertices)] for _ in range(k)
         ]
         for row in self.edges:
             for e in row:
-                self._edges_from[e.color][e.range_vertex].append(e)
+                if 0 <= e.color < k and 0 <= e.range_vertex < num_vertices:
+                    self._edges_from[e.color][e.range_vertex].append(e)
 
     # -- basic access ---------------------------------------------------
 

@@ -25,7 +25,7 @@ from .intlattice import lattice_coordinates, lattice_residue
 from .kgraph import add_degrees, sub_degrees, unit_degree
 from .periodicity import (CyclineState, PeriodicityLattice, cycline_search,
                           is_cycline, periodicity_group)
-from .perron import (PerronData, check_g_invariance, pf_state_value,
+from .perron import (TOL, PerronData, check_g_invariance, pf_state_value,
                      spectral_data)
 
 
@@ -57,7 +57,7 @@ def character_trace(theta) -> TraceSpec:
 def mixture_trace(weights) -> TraceSpec:
     rows = tuple((float(w), _finite(theta)) for w, theta in weights)
     total = sum(_finite(w for w, _ in rows))
-    if any(w < 0 for w, _ in rows) or abs(total - 1.0) > 1e-9:
+    if any(w < 0 for w, _ in rows) or abs(total - 1.0) > TOL:
         raise ValueError("mixture weights must be a convex combination")
     return TraceSpec(rows)
 
@@ -113,16 +113,15 @@ class KmsState(NamedTuple):
 
 
 def make_kms_state(system, trace: TraceSpec | None = None,
-                   box_radius: int = 4, ball_radius: int = 3,
-                   tol: float = 1e-9) -> KmsState:
+                   box_radius: int = 4, ball_radius: int = 3) -> KmsState:
     """The state of ``trace`` (Haar when None).  The lattice of
     (``box_radius``, ``ball_radius``) is computed only when the simplex
     is nonempty, and then every character of ``trace`` must give one
     coordinate per lattice basis vector."""
     data = spectral_data(system.graph)
-    exists = check_g_invariance(data, system, tol)
+    exists = check_g_invariance(data, system)
     lattice = periodicity_group(system, box_radius, ball_radius,
-                                perron_data=data, tol=tol) if exists else None
+                                perron_data=data) if exists else None
     if trace is None:
         trace = haar_trace()
     elif lattice is not None:
@@ -290,9 +289,8 @@ def _live_pairs(block, big, handle, meet, classes, sample_count, seed):
             yield built(i), built(j), False
 
 
-def verify_kms(state: KmsState, sample_count: int = 500,
-               tol: float = 1e-9, seed: int = 20_08,
-               max_checks: int = 10_000_000) -> KmsReport:
+def verify_kms(state: KmsState, sample_count: int = 500, *,
+               seed: int = 20_08, max_checks: int = 10_000_000) -> KmsReport:
     """Check phi(xy) = phi(y * scale(x)) over all monomial pairs with
     degrees at most (1,...,1) plus ``sample_count`` random pairs up to
     (2,...,2), drawn by ``random.Random(seed)``; more than
@@ -447,7 +445,7 @@ def verify_kms(state: KmsState, sample_count: int = 500,
             tally(xy, yx, x[4])
             if mirrored:
                 tally(yx, xy, y[4])
-    return KmsReport(worst < tol, worst, needed, nonzero)
+    return KmsReport(worst < TOL, worst, needed, nonzero)
 
 
 class DiagonalReport(NamedTuple):
@@ -456,7 +454,7 @@ class DiagonalReport(NamedTuple):
     checked: int
 
 
-def restrict_to_diagonal(state: KmsState, tol: float = 1e-9) -> DiagonalReport:
+def restrict_to_diagonal(state: KmsState) -> DiagonalReport:
     """The state restricted to diagonal monomials must agree with the
     Perron-Frobenius values, vertex values must be constant on
     generator orbits, and they must satisfy the Cuntz-Krieger relation
@@ -493,11 +491,11 @@ def restrict_to_diagonal(state: KmsState, tol: float = 1e-9) -> DiagonalReport:
             checked += 1
     worst = max(worst, abs(sum(vertex_values, 0j) - 1))
     checked += 1
-    return DiagonalReport(worst < tol, worst, checked)
+    return DiagonalReport(worst < TOL, worst, checked)
 
 
-def simplex_summary(system, box_radius: int = 4, ball_radius: int = 3,
-                    tol: float = 1e-9) -> KmsState:
+def simplex_summary(system, box_radius: int = 4,
+                    ball_radius: int = 3) -> KmsState:
     """The Haar state of ``make_kms_state``, read for its ``exists``,
     ``rank``, ``basis`` and ``verdict``."""
-    return make_kms_state(system, None, box_radius, ball_radius, tol)
+    return make_kms_state(system, None, box_radius, ball_radius)

@@ -172,8 +172,8 @@ class PeriodicityLattice(NamedTuple):
 
 
 def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
-                      perron_data: PerronData | None = None,
-                      tol: float = 1e-9) -> PeriodicityLattice:
+                      perron_data: PerronData | None = None
+                      ) -> PeriodicityLattice:
     """The periodicity group, exactly whenever ``rho_int`` is set.
 
     Per is a subgroup of the exact kernel K.  K = {0} settles it at
@@ -190,7 +190,7 @@ def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
     data = perron_data if perron_data is not None else spectral_data(
         system.graph)
     if data.rho_int is None:
-        return box_scan_group(system, box_radius, ball_radius, data, tol)
+        return box_scan_group(system, box_radius, ball_radius, data)
     kernel = rho_kernel_lattice(data)
 
     def lattice(basis, exact, vectors, elements):
@@ -207,7 +207,7 @@ def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
     if len(members) == len(kernel):
         return lattice(kernel, True, "kernel", source)
     found = hnf_basis(members + list(_box_scan(
-        system, data, box_radius, elements, tol)), system.graph.k)
+        system, data, box_radius, elements)), system.graph.k)
     if source == "nucleus" and len(found) == len(kernel):
         return lattice(_complete_cosets(system, kernel, found, elements),
                        True, "kernel", source)
@@ -215,14 +215,13 @@ def periodicity_group(system, box_radius: int = 4, ball_radius: int = 3,
 
 
 def box_scan_group(system, box_radius: int = 4, ball_radius: int = 3,
-                   perron_data: PerronData | None = None,
-                   tol: float = 1e-9) -> PeriodicityLattice:
+                   perron_data: PerronData | None = None
+                   ) -> PeriodicityLattice:
     """The members of the box with the ball as elements; relative to
     (box, ball).  The path for float radii, and the tests' oracle."""
     data = perron_data if perron_data is not None else spectral_data(
         system.graph)
-    basis = _box_scan(system, data, box_radius, _ball(system, ball_radius),
-                      tol)
+    basis = _box_scan(system, data, box_radius, _ball(system, ball_radius))
     return PeriodicityLattice(len(basis), basis, box_radius, ball_radius)
 
 
@@ -230,7 +229,7 @@ def _ball(system, ball_radius):
     return system.restriction_closure(system.word_ball(ball_radius))
 
 
-def _box_scan(system, data, box_radius, elements, tol):
+def _box_scan(system, data, box_radius, elements):
     """Hermite basis of the box vectors that pass ``rho ** z == 1`` and
     have a cycline triple over ``elements``.  Each survivor is tested at
     its minimal degree pair z+ = z v 0, z- = (-z) v 0, which suffices
@@ -242,7 +241,7 @@ def _box_scan(system, data, box_radius, elements, tol):
                                repeat=graph.k):
         if all(v == 0 for v in z):
             continue
-        if not rho_power_is_one(data, z, tol):
+        if not rho_power_is_one(data, z):
             continue
         if _per_member(system, z, elements):
             members.append(z)

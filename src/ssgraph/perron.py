@@ -11,9 +11,10 @@ floats.  Every float dot product and total is summed left to right from
 0.0 in an explicit loop: the built-in ``sum`` compensates float sums
 since Python 3.12, which would tie the reported bits to the version.
 
-The iteration only proposes integer radii.  A proposal is certified by
-the exact integer kernel of the stacked A_i - rho_i I, and a certified
-graph reports that kernel's positive vector as x, exactly rounded.
+The iteration only proposes integer radii.  A proposal that passes the
+Collatz-Wielandt bound of the iterate is certified by the exact integer
+kernel of the stacked A_i - rho_i I, and a certified graph reports that
+kernel's positive vector as x, exactly rounded.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .intlattice import kernel_basis, prime_exponents
 from .kgraph import KGraph
 
 RESIDUAL_TOL = 1e-12
+TOL = 1e-9
 MAX_ITER = 100_000
 
 
@@ -85,20 +87,33 @@ def spectral_data(graph: KGraph) -> PerronData:
     else:
         raise NoConvergence(
             f"residual {max(residuals):.3e} after {MAX_ITER} iterations")
-    ints, v = _integer_certificate(mats, rho)
+    ints, v = _integer_certificate(mats, rho, x)
     if ints is not None:
         total = sum(v)
         rho, x = tuple(map(float, ints)), [a / total for a in v]
     return PerronData(rho, tuple(x), residuals, iterations, ints)
 
 
-def _integer_certificate(mats, rho):
+def _integer_certificate(mats, rho, x):
     """Round rho to integers and take the integer kernel of the stacked
     A_i - rho_i I.  A nonnegative matrix's only eigenvalue with a
     positive eigenvector is its spectral radius, so a kernel spanned by
     a positive v certifies the rounded radii.  Returns (radii, v), or
-    (None, None) when the kernel is not such a line."""
+    (None, None) when the kernel is not such a line.
+
+    The kernel is taken only for radii within the Collatz-Wielandt
+    bounds min (Ax)_j / x_j <= rho(A) <= max (Ax)_j / x_j of the
+    positive iterate x, compared exactly in integers over the floats'
+    common power-of-two denominator."""
     ints = tuple(round(r) for r in rho)
+    ratios = [v.as_integer_ratio() for v in x]
+    scale = max(den for _, den in ratios)
+    exact = [num * (scale // den) for num, den in ratios]
+    for mat, r in zip(mats, ints):
+        gaps = [r * v - sum(a * b for a, b in zip(row, exact))
+                for row, v in zip(mat, exact)]
+        if min(gaps) > 0 or max(gaps) < 0:
+            return None, None
     stacked = [[a - r * (i == j) for j, a in enumerate(row)]
                for mat, r in zip(mats, ints) for i, row in enumerate(mat)]
     basis = kernel_basis(stacked, len(mats[0]))
@@ -111,13 +126,13 @@ def pf_state_value(data: PerronData, mu) -> float:
     return data.x[mu.source] / data.rho_power(mu.degree)
 
 
-def check_g_invariance(data: PerronData, system, tol: float = 1e-9) -> bool:
+def check_g_invariance(data: PerronData, system) -> bool:
     """Whether the eigenvector is constant on generator vertex orbits;
     equilibrium states exist exactly when it is."""
     for gen in system.generators:
         g = system.generator_element(gen.name)
         for v in range(system.graph.num_vertices):
-            if abs(data.x[system.act_vertex(g, v)] - data.x[v]) >= tol:
+            if abs(data.x[system.act_vertex(g, v)] - data.x[v]) >= TOL:
                 return False
     return True
 
@@ -134,10 +149,10 @@ def rho_kernel_lattice(data: PerronData):
                         len(data.rho_int))
 
 
-def rho_power_is_one(data: PerronData, z, tol: float = 1e-9) -> bool:
+def rho_power_is_one(data: PerronData, z) -> bool:
     if data.rho_int is not None:
         pairs = tuple(zip(data.rho_int, z))
         return math.prod(b ** e for b, e in pairs if e > 0) \
             == math.prod(b ** -e for b, e in pairs if e < 0)
     log_sum = _total(exp * math.log(base) for base, exp in zip(data.rho, z))
-    return abs(log_sum) < tol
+    return abs(log_sum) < TOL

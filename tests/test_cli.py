@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -337,8 +339,12 @@ def test_analyze_invalid_model_stops_after_validation(tmp_path):
 
 def test_analyze_takes_a_tolerance(tmp_path, capsys):
     model = gen_file(tmp_path, "odo2.json", "gen", "odometer", "--n", "2")
-    assert main(["analyze", str(model), "--tol", "1e-6"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["params"]["tol"] == 1e-06
+    assert main(["analyze", str(model)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["params"]["tol"] == 1e-09
+    with pytest.raises(SystemExit) as stop:
+        main(["analyze", str(model), "--tol", "1e-6"])
+    assert stop.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t, rho", [("2,4;1,2", 4.0), ("2,6;1,3", 5.0)])
@@ -371,6 +377,64 @@ def test_analyze_report_bytes_are_stable(tmp_path):
     assert main(["analyze", str(model), "--json", str(first)]) == EXIT_OK
     assert main(["analyze", str(model), "--json", str(second)]) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
+
+
+PINNED_MODELS = {
+    "odo22": ("gen", "odometer", "--n", "2,2"),
+    "odo623": ("gen", "odometer", "--n", "6,2,3"),
+    "kat2412": ("gen", "katsura", "--t", "2,4;1,2", "--b", "1,1;1,1"),
+    "kat2113": ("gen", "katsura", "--t", "2,1;1,3", "--b", "1,1;1,1"),
+}
+
+
+# SHA-256 of the whole stdout at the defaults.  kat2412 has certified,
+# non-uniform Perron data; kat2113's radius 3.618... is not an integer,
+# so the float tolerance decides its box scan
+@pytest.mark.parametrize("name,verb,code,digest", [
+    ("odo22", "analyze", 0,
+     "5ccfc3ee536189259835202022b1c4187e7abddcc763a5161956fcc3a02fa251"),
+    ("odo22", "per", 0,
+     "267cc78dbc9e5efc5bc42d9a55face9bc1fa27d324dbef1a590273539a38dbda"),
+    ("odo623", "analyze", 0,
+     "62ffdc6667faa7d67de034759722971ebd51677ca2fd93a5351bad7b7e1001ed"),
+    ("odo623", "per", 0,
+     "5e9e41abfdc32e17467183f484d2303ed54beb5e5696abdf31738bf2af8237a6"),
+    ("kat2412", "analyze", 0,
+     "136d45d42e2436ceab33a8fbbb50001709981d9ed210ba064a490e4c7ca1ca21"),
+    ("kat2412", "per", 0,
+     "5ab03e86951d773bd49efcb46d6a4e89460aa245b2f631d173c7b0218da41794"),
+    ("kat2113", "analyze", 0,
+     "fd81cf9bb700d966285b58255c264b961705e54456937bbeac6957b4d3957be5"),
+    ("kat2113", "per", 0,
+     "181e8b0bafb3bf66ae68166790af90e25029100b8de495f17c42c2a51eb519b8"),
+    ("grigorchuk", "analyze", 0,
+     "45947cf37c9fc989862f682e60303c3f65b5bf36c2359874fd517ab4700f7d97"),
+    ("grigorchuk", "per", 0,
+     "5ab03e86951d773bd49efcb46d6a4e89460aa245b2f631d173c7b0218da41794"),
+])
+def test_default_report_bytes_are_pinned(tmp_path, capsys, name, verb, code,
+                                         digest):
+    if name in PINNED_MODELS:
+        model = gen_file(tmp_path, f"{name}.json", *PINNED_MODELS[name])
+    else:
+        model = MODELS / f"{name}.json"
+    assert main([verb, str(model)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_names_the_accepted_flags(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    accepted = set()
+    for argv in (["gen", "odometer"], ["gen", "katsura"], ["validate"],
+                 ["analyze"], ["per"], ["kms-eval"]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--help"])
+        accepted |= set(re.findall(r"--[a-z][a-z-]*",
+                                   capsys.readouterr().out))
+    accepted.discard("--help")
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == accepted
 
 
 def test_run_analysis_accepts_in_memory_systems(odo23):
@@ -713,17 +777,17 @@ def test_kms_eval_rejects_bad_sample_count(tmp_path, capsys, samples):
 
 
 @pytest.mark.parametrize("flag,value,message", [
-    ("--tol", "0", "--tol: must be a positive finite number"),
-    ("--tol", "-1", "--tol: must be a positive finite number"),
-    ("--tol", "nan", "--tol: must be a positive finite number"),
-    ("--tol", "inf", "--tol: must be a positive finite number"),
+    ("--tol", "0", "unrecognized arguments: --tol"),
+    ("--tol", "-1", "unrecognized arguments: --tol"),
+    ("--tol", "nan", "unrecognized arguments: --tol"),
+    ("--tol", "inf", "unrecognized arguments: --tol"),
     ("--box", "-1", "--box: must be an integer at least 0"),
     ("--ball", "-1", "--ball: must be an integer at least 0"),
 ])
 def test_search_flags_reject_bad_values(tmp_path, capsys, flag, value,
                                         message):
-    # --tol 0 or below made every model's simplex empty; NaN made it
-    # nonempty and wrote "tol": NaN, which is not JSON
+    # the tolerance is the constant perron.TOL: a settable one of 0 made
+    # every model's simplex empty, and NaN wrote "tol": NaN, not JSON
     model = gen_file(tmp_path, "odo22.json", "gen", "odometer", "--n", "2,2")
     for verb in ("analyze", "per", "kms-eval"):
         with pytest.raises(SystemExit) as stop:

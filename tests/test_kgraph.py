@@ -331,6 +331,17 @@ def test_validate_rejects_sink():
     assert not report.ok
 
 
+@pytest.mark.parametrize("edge,problem", [
+    (Edge(0, 0, 0, 5), "color 0: edge 0 has endpoints off the vertex set"),
+    (Edge(0, 3, 0, 0), "color 0: edge 0 claims color 3"),
+], ids=["range", "color"])
+def test_validate_reports_edges_the_index_cannot_hold(edge, problem):
+    # a range vertex or colour out of range used to raise IndexError in
+    # the constructor, before validation could name it
+    report = validate_kgraph(KGraph(1, 1, [[edge]], {}))
+    assert problem in report.problems
+
+
 def test_cube_condition_checked_for_rank_three(odo623):
     g = odo623.graph
     assert validate_kgraph(g).ok

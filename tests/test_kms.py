@@ -309,7 +309,7 @@ def test_fused_check_matches_reference_loop(name, kind, request,
         sampled = reference_check(
             state, sampled_pairs(big, samples, seed), products)
         expected = reference_report(block, sampled, tol)
-        got = verify_kms(state, sample_count=samples, tol=tol, seed=seed)
+        got = verify_kms(state, sample_count=samples, seed=seed)
         assert got == expected
         assert got.max_deviation == expected.max_deviation
 
@@ -367,6 +367,14 @@ def test_check_count_cap_is_exact(odo22):
                        match=rf"{limit} checks.*max_checks cap of "
                              rf"{limit - 1}; raise it with --max-checks"):
         verify_kms(state, sample_count=10, max_checks=limit - 1)
+
+
+def test_verify_kms_takes_seed_and_cap_by_keyword(odo22):
+    # a third positional argument, such as a tolerance, must fail
+    # rather than become the seed
+    state = make_kms_state(odo22)
+    with pytest.raises(TypeError):
+        verify_kms(state, 500, 1e-9)
 
 
 def test_nonzero_deviation_is_bit_exact():

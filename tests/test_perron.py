@@ -1,13 +1,15 @@
 import itertools
 import math
+import random
 
 import pytest
 
+from ssgraph import perron
 from ssgraph.errors import NotStronglyConnected
 from ssgraph.intlattice import kernel_basis, lattice_contains
 from ssgraph.kgraph import Edge, KGraph
 from ssgraph.kms import haar_trace, make_kms_state, restrict_to_diagonal
-from ssgraph.models import build_katsura
+from ssgraph.models import build_katsura, build_odometer
 from ssgraph.perron import _integer_certificate, check_g_invariance, \
     pf_state_value, rho_kernel_lattice, rho_power_is_one, spectral_data
 
@@ -90,13 +92,46 @@ def test_integer_certificate_needs_a_positive_kernel_line():
     fibonacci = [[1, 1], [1, 0]]
     # 2 is no eigenvalue of the Fibonacci matrix: the kernel is empty
     assert kernel_basis([[-1, 1], [1, -2]], 2) == ()
-    assert _integer_certificate([fibonacci], (2.0,)) == (None, None)
+    # x = (1, 1) bounds the radius by [1, 2], so 2 reaches the kernel
+    assert _integer_certificate([fibonacci], (2.0,), (1.0, 1.0)) \
+        == (None, None)
     # -1 is an eigenvalue of the 2-cycle, but its kernel (1, -1) is not
     # positive, so only the spectral radius 1 certifies
     cycle = [[0, 1], [1, 0]]
     assert kernel_basis([[1, 1], [1, 1]], 2) == ((1, -1),)
-    assert _integer_certificate([cycle], (-1.0,)) == (None, None)
-    assert _integer_certificate([cycle], (1.0,)) == ((1,), (1, 1))
+    assert _integer_certificate([cycle], (-1.0,), (0.5, 0.5)) \
+        == (None, None)
+    assert _integer_certificate([cycle], (1.0,), (0.5, 0.5)) \
+        == ((1,), (1, 1))
+
+
+def random_katsura(size):
+    """T with entries 1-3 and a diagonal of at least 2, B all ones."""
+    rng = random.Random(1)
+    t = [[rng.randint(2, 3) if i == j else rng.randint(1, 3)
+          for j in range(size)] for i in range(size)]
+    return build_katsura(t, [[1] * size for _ in range(size)])
+
+
+@pytest.mark.parametrize("build,kernels", [
+    (lambda: random_katsura(24), 0),
+    (lambda: build_odometer((6, 2, 3)), 1),
+    (lambda: build_katsura([[2, 4], [1, 2]], [[1, 1], [1, 1]]), 1)],
+    ids=["katsura24", "odo623", "kat2412"])
+def test_collatz_wielandt_bound_gates_the_kernel(monkeypatch, build,
+                                                 kernels):
+    # the 24-vertex radius 48.08 is no integer: the bound of the iterate
+    # rejects 48 without the kernel, which took most of spectral_data
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel_basis(*args)
+
+    monkeypatch.setattr(perron, "kernel_basis", counted)
+    data = spectral_data(build().graph)
+    assert len(calls) == kernels
+    assert (data.rho_int is None) == (kernels == 0)
 
 
 def test_residuals_small_on_builtins(odo22, odo23, odo24, odo623, kat21,
